@@ -12,13 +12,11 @@ from .codebook import (
 )
 from .channel import ChannelConfig, add_awgn, ebn0_to_sigma, spread
 from .decoder import (
-    Constellation,
     DecodeOutcome,
-    DeltaParams,
     MlDecoder,
     QuantizeResult,
-    delta_params,
     fda_decode,
+    fda_decode_batch,
     ml_decode,
     quantize,
 )
@@ -36,13 +34,11 @@ __all__ = [
     "add_awgn",
     "ebn0_to_sigma",
     "spread",
-    "Constellation",
     "DecodeOutcome",
-    "DeltaParams",
     "MlDecoder",
     "QuantizeResult",
-    "delta_params",
     "fda_decode",
+    "fda_decode_batch",
     "ml_decode",
     "quantize",
 ]

@@ -28,9 +28,11 @@ import numpy as np
 
 from .codebook import TernaryCodebook, UdBoundError, build_codebook
 from .channel import spread_many
-from .decoder import _all_words, fda_decode, quantize
+from .decoder import _all_words, fda_decode_batch, quantize
 
 EXHAUSTIVE_BOUND = 17
+# Words decoded per batch call, which bounds the decoder's scratch memory.
+_DECODE_BLOCK = 1 << 16
 
 # Reference per-count comparison totals for the 4x8 codebook (counts of -1s
 # running 0..8).  Their total, 1500 over 256 words, anchors the analytic
@@ -157,16 +159,21 @@ def _exhaustive_words(c: TernaryCodebook) -> np.ndarray:
     return _all_words(c.cols)
 
 
+def _noiseless_comparisons(c: TernaryCodebook, words: np.ndarray) -> np.ndarray:
+    """Fast-decoder comparisons spent on each word's noiseless chips."""
+    return np.concatenate([
+        fda_decode_batch(c, spread_many(c, words[lo:lo + _DECODE_BLOCK]))[1]
+        for lo in range(0, len(words), _DECODE_BLOCK)
+    ])
+
+
 def comparison_census(c: TernaryCodebook) -> list[int]:
     """Exhaustive per-count comparison totals: entry n sums the comparisons
     spent decoding every noiseless word with exactly n entries of -1."""
     words = _exhaustive_words(c)
-    chips = spread_many(c, words)
-    totals = [0] * (c.cols + 1)
-    for x, y in zip(words, chips):
-        out = fda_decode(c, y.astype(np.float64))
-        totals[int((x == -1).sum())] += out.comparisons
-    return totals
+    comps = _noiseless_comparisons(c, words)
+    negatives = (words == -1).sum(axis=1)
+    return [int(comps[negatives == n].sum()) for n in range(c.cols + 1)]
 
 
 def empirical_avg_comparisons(
@@ -187,11 +194,7 @@ def empirical_avg_comparisons(
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     words = (2 * rng.integers(0, 2, size=(count, c.cols)) - 1).astype(np.int8)
-    chips = spread_many(c, words)
-    total = 0
-    for y in chips:
-        total += fda_decode(c, y.astype(np.float64)).comparisons
-    return total / count
+    return int(_noiseless_comparisons(c, words).sum()) / count
 
 
 def complexity_report(

@@ -1,11 +1,12 @@
 """Comparison-only recursive decoder for the ternary codebooks, plus exhaustive ML.
 
-The fast decoder reads the number of -1s in the word off the first chip, the
-left/right split off the second chip, and recurses on the two halves; the
-4x8 seed matrix is decoded by a dedicated leaf routine built from three
-small count decoders.  The only arithmetic charged to the complexity budget
-is the threshold comparisons inside the constellation quantizer; every other
-step is index bookkeeping.
+The fast decoder works on whole blocks of chip vectors at once.  It reads the
+number of -1s in each word off the first chip, the left/right split off the
+second chip, and recurses on the two halves, whose first chips are then
+known exactly; the 4x8 seed matrix is the leaf (``fda_decode_batch8``).  The
+only arithmetic charged to the complexity budget is the threshold
+comparisons inside the constellation quantizer; every other step is index
+bookkeeping.  ``fda_decode`` decodes one vector as a block of one.
 
 Quantizer conventions used throughout (all validated exhaustively by the
 noiseless round-trip suite):
@@ -20,37 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .codebook import TernaryCodebook
 
 ML_BOUND = 17
-
-# Optional recorder for quantizer calls: (site, lo, hi, step, value, z, zeta).
-_TRACE: Optional[list] = None
-
-
-@dataclass(frozen=True)
-class Constellation:
-    """A descending integer grid {hi, hi-step, ..., lo} of quantizer targets."""
-
-    lo: int
-    hi: int
-    step: int
-
-    def __post_init__(self):
-        if self.step not in (1, 2):
-            raise ValueError("step must be 1 or 2")
-        if self.lo > self.hi or (self.hi - self.lo) % self.step != 0:
-            raise ValueError(
-                f"invalid constellation bounds ({self.lo}, {self.hi}, step {self.step})"
-            )
-
-    @property
-    def points(self) -> list:
-        return list(range(self.hi, self.lo - 1, -self.step))
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -70,300 +47,111 @@ class DecodeOutcome:
     comparisons: int
 
 
-@dataclass(frozen=True)
-class DeltaParams:
-    """Scan-range parameters for the count decoders, derived from (n_l, zeta)."""
+def _q_grid(y: np.ndarray, lo, hi, step: int):
+    """Nearest-point quantize onto {hi, hi-step, ..., lo}, elementwise.
 
-    delta_min: int
-    delta_max: int
-    eta: int
-    lam: int
-    beta_min: int
-    beta_max: int
-
-
-@dataclass(frozen=True)
-class CountSplit:
-    """Count decomposition of a level-2 word.
-
-    ``m1`` counts -1s on slots 1-2 and ``m11`` on slot 1 alone; ``m2``/``m3``
-    count slots 4/3 and ``k2``/``k3`` slots 8/7 (the assembly step applies
-    that slot order).  ``k1`` counts slot 6.
+    Returns (z, zeta, comparisons).  The search walks inward from both grid
+    ends, so either end is settled by a single test and an interior point by
+    its rank from the nearer end: a word with j minority symbols pays j+1
+    tests at the first decoder quantize, and exactly 1 when the first chip
+    saturates.  The grid index is clipped while still a float, so any finite
+    or infinite statistic saturates at a grid end.
     """
-
-    n: int
-    n_l: int
-    n_r: int
-    m1: int
-    m2: int
-    m3: int
-    m11: int
-    k1: int
-    k2: int
-    k3: int
-
-
-def _comparisons(m: int, zeta: int) -> int:
-    """Threshold tests consumed locating the point of rank ``zeta`` (from hi).
-
-    The search walks inward from both grid ends, so either end is settled by
-    a single test and an interior point by its rank from the nearer end.  A
-    word with j minority symbols therefore pays j+1 tests at the first
-    decoder quantize, and exactly 1 when the first chip saturates.
-    """
-    return min(zeta, m + 1 - zeta)
-
-
-def _q(y: float, lo: int, hi: int, step: int, site: str = "user") -> QuantizeResult:
-    if step not in (1, 2):
-        raise ValueError("step must be 1 or 2")
-    if lo > hi or (hi - lo) % step != 0:
-        raise ValueError(f"invalid constellation bounds ({lo}, {hi}, step {step})")
     m = (hi - lo) // step + 1
-    i_lo = math.ceil((y - lo) / step - 0.5)
-    i_lo = min(max(i_lo, 0), m - 1)
+    i_lo = np.clip(np.ceil((y - lo) / step - 0.5), 0, m - 1).astype(np.int64)
     z = lo + step * i_lo
     zeta = m - i_lo
-    if _TRACE is not None:
-        _TRACE.append((site, lo, hi, step, y, z, zeta))
-    return QuantizeResult(z=z, zeta=zeta, comparisons=max(1, _comparisons(m, zeta)))
+    comps = np.minimum(zeta, m + 1 - zeta)
+    return z, zeta, comps
 
 
 def quantize(y: float, lo: int, hi: int, step: int = 2) -> QuantizeResult:
     """Map a real statistic to the descending grid {hi, hi-step, ..., lo}."""
-    return _q(float(y), int(lo), int(hi), int(step))
+    lo, hi, step = int(lo), int(hi), int(step)
+    if step not in (1, 2):
+        raise ValueError("step must be 1 or 2")
+    if lo > hi or (hi - lo) % step != 0:
+        raise ValueError(f"invalid constellation bounds ({lo}, {hi}, step {step})")
+    value = float(y)
+    if not math.isfinite(value):
+        raise ValueError(f"statistic must be finite, got {value}")
+    z, zeta, comps = _q_grid(np.array([value]), lo, hi, step)
+    return QuantizeResult(z=int(z[0]), zeta=int(zeta[0]), comparisons=int(comps[0]))
 
 
-def _round_half_up(numer: int, denom: int = 5) -> int:
-    # round-half-away-from-zero for nonnegative rationals numer/denom
-    return (2 * numer + denom) // (2 * denom)
+def _require_finite(y: np.ndarray, what: str, shown=None) -> None:
+    """Raise one ValueError naming the first non-finite entry of the 2-D ``y``."""
+    bad = ~np.isfinite(y)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        value = (y if shown is None else shown)[row, col]
+        raise ValueError(f"{what}: row {row}, chip {col} is {value}")
 
 
-def _delta_offsets(n_l: int) -> tuple[int, int]:
-    lo = -_round_half_up(3 * (n_l + 1))
-    hi = _round_half_up(3 * n_l) % 2
-    return lo, hi
+def _unit_chips(ys, rows: int, amplitude: float) -> np.ndarray:
+    """Check an (N, rows) block of finite chips and divide out the amplitude."""
+    y = np.asarray(ys, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != rows:
+        raise ValueError(f"expected an (N, {rows}) chip block, got shape {y.shape}")
+    _require_finite(y, "chips must be finite")
+    if not (math.isfinite(amplitude) and amplitude > 0):
+        raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
+    if amplitude == 1.0:
+        return y
+    with np.errstate(over="ignore"):
+        # a quotient past the float range saturates like any huge chip
+        return np.clip(y / amplitude, -_FLOAT_MAX, _FLOAT_MAX)
 
 
-def delta_params(n_l: int, zeta: int) -> DeltaParams:
-    """Evaluate the scan-range parameter formulas.
+def _decode_block(y: np.ndarray, users: int, n):
+    """Recursive fast decode of an (N, rows) block of unit-amplitude chips.
 
-    ``zeta`` is interpreted as the rank of the quantized statistic counted
-    from the low end of its grid, which is the convention the scan bounds
-    need.
+    ``n`` holds each row's known -1 count, or None to read it off chip 0.
+    Children get their counts this way, so they pay no first quantize.
     """
-    if n_l < 0 or zeta < 1:
-        raise ValueError("n_l must be >= 0 and zeta >= 1")
-    d_lo, d_hi = _delta_offsets(n_l)
-    eta = zeta + d_lo - d_hi - 1
-    lam = 2 if zeta <= 3 else 0
-    beta_min = eta if eta >= 1 else 0
-    beta_max = lam * (zeta - 3) // 2 + 2
-    return DeltaParams(delta_min=d_lo, delta_max=d_hi, eta=eta, lam=lam,
-                       beta_min=beta_min, beta_max=beta_max)
-
-
-def _bit(count: int) -> int:
-    # count of -1s on a single slot -> antipodal symbol, clamped for noisy counts
-    return -1 if count >= 1 else 1
-
-
-def right_decode(y, n_r: int, m1: int, m2: int):
-    """Recover the -1 counts of slots 6/7/8 when the left counts are known.
-
-    Returns ((k1, k2, k3), comparisons); k2 belongs to slot 8 and k3 to
-    slot 7.
-    """
-    stat = (y[2] - 1.0) / 2.0 - m2 + m1
-    q = _q(stat, -1, 1, 1, site="right")
-    k2 = (q.z + n_r) // 2
-    k3 = q.z + n_r - 2 * k2
-    k1 = n_r - k2 - k3
-    k1, k2, k3 = (min(max(v, 0), 1) for v in (k1, k2, k3))
-    return (k1, k2, k3), q.comparisons
-
-
-def left_decode(y, n_l: int, k1: int, k2: int):
-    """Recover the -1 counts of slots 1-4 when the right counts are known.
-
-    Returns ((m1, m2, m3, m11), comparisons); m2 belongs to slot 4 and m3 to
-    slot 3.
-    """
-    d_lo, d_hi = _delta_offsets(n_l)
-    centre = -k1 + k2
-    stat = (y[2] - 1.0) / 2.0
-    q = _q(stat, centre + d_lo, centre + d_hi, 1, site="left")
-    s = q.z - k2 + k1 + n_l
-    m2 = s // 2
-    m3 = s - 2 * m2
-    m1 = n_l - m2 - m3
-    if m1 >= 2:
-        m11 = 1
-    elif m1 <= 0:
-        m11 = 0
-    elif y[3] / 2.0 - k1 - m2 + k2 >= -0.5:
-        m11 = 0
-    else:
-        m11 = 1
-    m1 = min(max(m1, 0), 2)
-    m2 = min(max(m2, 0), 1)
-    m3 = min(max(m3, 0), 1)
-    m11 = min(max(m11, 0), min(m1, 1))
-    return (m1, m2, m3, m11), q.comparisons
-
-
-def lr_decode(y, n_l: int, n_r: int):
-    """Recover all seven counts when neither side is saturated.
-
-    Quantizes the third-chip statistic, then scans the feasible left/right
-    offsets keeping the candidate whose fourth-chip residual is smallest.
-    Returns ((m1, m2, m3, m11, k1, k2, k3), comparisons).
-    """
-    d_lo, d_hi = _delta_offsets(n_l)
-    stat = (y[2] - 1.0) / 2.0
-    q = _q(stat, d_lo - 1, d_hi + 1, 1, site="scan")
-    npoints = d_hi - d_lo + 3
-    rank_lo = npoints - q.zeta + 1
-    params = delta_params(n_l, rank_lo)
-    offsets = range(-1 + params.beta_min, params.beta_max)  # -1+beta_max inclusive
-    best = None
-    best_d = math.inf
-    for attempt in (offsets, (-1, 0, 1)):
-        for off in attempt:
-            s = q.z - off + n_l
-            m2 = s // 2
-            m3 = s - 2 * m2
-            m1 = n_l - m2 - m3
-            u = off + n_r
-            k2 = u // 2
-            k3 = u - 2 * k2
-            k1 = n_r - k2 - k3
-            if m1 >= 2:
-                m11 = 1
-            elif m1 <= 0:
-                m11 = 0
-            elif y[3] / 2.0 - k1 - m2 + k2 >= -0.5:
-                m11 = 0
-            else:
-                m11 = 1
-            d = abs(y[3] / 2.0 + m11 - m2 - k1 + k2)
-            if d < best_d:
-                best_d = d
-                best = (m1, m2, m3, m11, k1, k2, k3)
-        if best is not None:
-            break
-    m1, m2, m3, m11, k1, k2, k3 = best
-    m1 = min(max(m1, 0), 2)
-    m2, m3, k1, k2, k3 = (min(max(v, 0), 1) for v in (m2, m3, k1, k2, k3))
-    m11 = min(max(m11, 0), min(m1, 1))
-    return (m1, m2, m3, m11, k1, k2, k3), q.comparisons
-
-
-def sub_decode8(y, n: int, n_l: int, n_r: int):
-    """Decode one 4x8-codebook word from its chips and count split.
-
-    Saturated sides (n_l in {0,4}, n_r in {0,3}) are filled in directly;
-    otherwise the matching count decoder runs.  Returns
-    (bits, comparisons, CountSplit).
-    """
-    comps = 0
-    m = (0, 0, 0, 0) if n_l == 0 else (2, 1, 1, 1) if n_l == 4 else None
-    k = (0, 0, 0) if n_r == 0 else (1, 1, 1) if n_r == 3 else None
-    if m is not None and k is None:
-        k, c = right_decode(y, n_r, m[0], m[1])
-        comps += c
-    elif m is None and k is not None:
-        m, c = left_decode(y, n_l, k[0], k[1])
-        comps += c
-    elif m is None and k is None:
-        (m1, m2, m3, m11, k1, k2, k3), c = lr_decode(y, n_l, n_r)
-        m, k = (m1, m2, m3, m11), (k1, k2, k3)
-        comps += c
-    m1, m2, m3, m11 = m
-    k1, k2, k3 = k
-    mid = min(max(n - n_l - n_r, 0), 1)
-    bits = np.array(
-        [_bit(m11), _bit(m1 - m11), _bit(m3), _bit(m2),
-         _bit(mid), _bit(k1), _bit(k3), _bit(k2)],
-        dtype=np.int8,
-    )
-    split = CountSplit(n=n, n_l=n_l, n_r=n_r, m1=m1, m2=m2, m3=m3, m11=m11,
-                       k1=k1, k2=k2, k3=k3)
-    return bits, comps, split
-
-
-def _decode_rec(y: np.ndarray, users: int, known_negatives: Optional[int]):
-    comps = 0
-    if known_negatives is None:
-        q1 = _q(float(y[0]), -users, users, 2, site="first")
-        comps += q1.comparisons
-        z1 = q1.z
-        if abs(z1) == users:
-            sign = 1 if z1 > 0 else -1
-            return np.full(users, sign, dtype=np.int8), comps
+    if users == 8:
+        words, comps = fda_decode_batch8(y)
+        # the leaf quantizes the exact first chip 8-2n; that test is not charged
+        return words, comps if n is None else comps - np.minimum(n + 1, 9 - n)
+    if n is None:
+        z1, _, comps = _q_grid(y[:, 0], -users, users, 2)
         n = (users - z1) // 2
     else:
-        n = known_negatives
-        z1 = users - 2 * n
-        if n == 0 or n == users:
-            sign = 1 if n == 0 else -1
-            return np.full(users, sign, dtype=np.int8), comps
+        z1, comps = users - 2 * n, 0
+    # a saturated row (bound 0) is settled by its count: its single-point
+    # split costs nothing and its children saturate too
+    bound = users - np.abs(z1)
+    z2, _, c2 = _q_grid(y[:, 1], -bound, bound, 2)
+    comps = comps + np.where(bound > 0, c2, 0)
+    half = (users - 1) // 2
+    n_l = np.clip((2 * n - z2) // 4, np.maximum(0, n - half - 1), np.minimum(half, n))
+    n_r = np.clip((2 * n + z2) // 4, np.maximum(0, n - n_l - 1), np.minimum(half, n - n_l))
+    cut = y.shape[1] // 2 + 1
+    left, c_l = _decode_block(np.column_stack((half - 2 * n_l, y[:, 2:cut])), half, n_l)
+    right, c_r = _decode_block(np.column_stack((half - 2 * n_r, y[:, cut:])), half, n_r)
+    mid = np.where(z1 > left.sum(axis=1) + right.sum(axis=1), 1, -1)
+    words = np.hstack((left, mid[:, None], right)).astype(np.int8)
+    return words, comps + c_l + c_r
 
-    left_size = 4 if users == 8 else (users - 1) // 2
-    right_size = 3 if users == 8 else (users - 1) // 2
-    bound = users - abs(z1)
-    if users == 8:
-        # The 4x8 leaf is lopsided (4 left users vs 3 right): its second-chip
-        # statistic is offset by +1, so quantize the shifted statistic (which
-        # centres the decision boundaries between attainable values), and for
-        # the majority-negative half the reachable splits sit on the mirrored,
-        # shifted grid.
-        stat2 = float(y[1]) - 1.0
-        if z1 < 0:
-            lo2, hi2 = -bound - 2, bound - 2
-        else:
-            lo2, hi2 = -bound, bound
-    else:
-        stat2 = float(y[1])
-        lo2, hi2 = -bound, bound
-    q2 = _q(stat2, lo2, hi2, 2, site="split")
-    comps += q2.comparisons
-    z2 = q2.z
-    n_l = (2 * n - z2) // 4
-    n_r = (2 * n + z2) // 4
-    n_l = min(max(n_l, max(0, n - right_size - 1)), min(left_size, n))
-    n_r = min(max(n_r, max(0, n - n_l - 1)), min(right_size, n - n_l))
 
-    if users == 8:
-        bits, sub_comps, _ = sub_decode8(y[:4], n, n_l, n_r)
-        return bits, comps + sub_comps
+def fda_decode_batch(c: TernaryCodebook, ys, amplitude: float = 1.0):
+    """Decode an (N, rows) block of chip vectors with the recursive fast decoder.
 
-    chips = y.shape[0]
-    half_users = (users - 1) // 2
-    # Children receive their -1 counts directly: their first chip is the
-    # synthesized exact value half_users - 2*n_side, so no quantize is needed.
-    y_left = np.concatenate(([float(half_users - 2 * n_l)], y[2:chips // 2 + 1]))
-    y_right = np.concatenate(([float(half_users - 2 * n_r)], y[chips // 2 + 1:]))
-    bits_l, c_l = _decode_rec(y_left, half_users, n_l)
-    bits_r, c_r = _decode_rec(y_right, half_users, n_r)
-    comps += c_l + c_r
-    mid = z1 - (int(bits_l.sum()) + int(bits_r.sum()))
-    mid = 1 if mid > 0 else -1
-    word = np.concatenate((bits_l, [mid], bits_r)).astype(np.int8)
-    return word, comps
+    Returns (words, comparisons): the (N, K) int8 antipodal words and each
+    row's quantizer comparisons.  Rows are decoded independently.
+    """
+    if c.level < 2:
+        raise ValueError("fast decoding starts at level 2")
+    return _decode_block(_unit_chips(ys, c.rows, amplitude), c.cols, None)
 
 
 def fda_decode(c: TernaryCodebook, y, amplitude: float = 1.0) -> DecodeOutcome:
-    """Decode one chip vector with the recursive comparison-only decoder."""
-    if c.level < 2:
-        raise ValueError("fast decoding starts at level 2")
+    """Decode one chip vector: ``fda_decode_batch`` on a block of one."""
     chips = np.asarray(y, dtype=np.float64)
     if chips.shape != (c.rows,):
         raise ValueError(f"chip vector length {chips.shape} does not match {c.rows}")
-    if amplitude != 1.0:
-        chips = chips / amplitude
-    word, comps = _decode_rec(chips, c.cols, None)
-    return DecodeOutcome(word=word, comparisons=comps)
+    words, comps = fda_decode_batch(c, chips[None, :], amplitude)
+    return DecodeOutcome(word=words[0], comparisons=int(comps[0]))
 
 
 def _all_words(users: int) -> np.ndarray:
@@ -371,6 +159,10 @@ def _all_words(users: int) -> np.ndarray:
     idx = np.arange(1 << users, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(users - 1, -1, -1)) & 1
     return (2 * bits - 1).astype(np.int8)
+
+
+# Most scores per ML chunk: 2^24 float32 is 64 MiB per temporary array.
+_ML_CHUNK_SCORES = 1 << 24
 
 
 class MlDecoder:
@@ -391,9 +183,18 @@ class MlDecoder:
         idx = int(self.decode_batch(np.asarray(y, dtype=np.float64)[None, :], indices=True)[0])
         return DecodeOutcome(word=self.words[idx].copy(), comparisons=self.comparisons)
 
-    def decode_batch(self, ys: np.ndarray, indices: bool = False, chunk: int = 2048):
-        """Row-wise ML decode; returns words (or hypothesis indices)."""
-        ys = np.asarray(ys, dtype=np.float32)
+    def decode_batch(self, ys: np.ndarray, indices: bool = False, chunk: int | None = None):
+        """Row-wise ML decode; returns words (or hypothesis indices).
+
+        Rows go through in chunks of ``chunk`` rows; the default is 2048, cut
+        so that a chunk holds at most 2^24 scores (64 MiB of float32).
+        """
+        y64 = np.asarray(ys, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            ys = y64.astype(np.float32)
+        _require_finite(ys, "chips must be finite in float32", shown=y64)
+        if chunk is None:
+            chunk = min(2048, _ML_CHUNK_SCORES // len(self.table))
         out = np.empty(ys.shape[0], dtype=np.int64)
         for lo in range(0, ys.shape[0], chunk):
             hi = min(lo + chunk, ys.shape[0])
@@ -408,40 +209,27 @@ def ml_decode(c: TernaryCodebook, y, amplitude: float = 1.0) -> DecodeOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized decoding of many 4x8-codebook chip vectors at once.  Used by the
-# Monte-Carlo harness; exhaustively tested to agree with the scalar path on
-# words and comparison counts alike.
+# The 4x8 leaf.  Scan offsets of the third-chip statistic per left count n_l:
+# _D_LO = -round(3 (n_l+1) / 5), _D_HI = round(3 n_l / 5) mod 2, halves up.
 
 _D_LO = np.array([-1, -1, -2, -2, -3], dtype=np.int64)
 _D_HI = np.array([0, 1, 1, 0, 0], dtype=np.int64)
 
 
-def _q_grid(y: np.ndarray, lo: np.ndarray, hi: np.ndarray, step: int):
-    """Vectorized nearest-point quantize; returns (z, rank_from_hi, comparisons)."""
-    m = (hi - lo) // step + 1
-    i_lo = np.ceil((y - lo) / step - 0.5).astype(np.int64)
-    i_lo = np.clip(i_lo, 0, m - 1)
-    z = lo + step * i_lo
-    zeta = m - i_lo
-    comps = np.minimum(zeta, m + 1 - zeta)
-    return z, zeta, comps
-
-
 def fda_decode_batch8(ys: np.ndarray, amplitude: float = 1.0):
-    """Decode a (trials, 4) block of seed-codebook chip vectors.
+    """Decode a (trials, 4) block of seed-codebook chip vectors: the 4x8 leaf.
 
-    Returns (words, comparisons) matching ``fda_decode`` row for row.
+    The first chip gives the -1 count n and the second the left/right split
+    (n_l on users 1-4, n_r on users 6-8).  A saturated side is filled in
+    directly; otherwise the third chip is quantized on a small grid set by
+    the counts, and when neither side is saturated the feasible offsets are
+    scanned for the smallest fourth-chip residual.  Returns (words,
+    comparisons).
     """
-    y = np.asarray(ys, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != 4:
-        raise ValueError("expected a (trials, 4) chip block")
-    if amplitude != 1.0:
-        y = y / amplitude
+    y = _unit_chips(ys, 4, amplitude)
     nrows = y.shape[0]
-    eight = np.full(nrows, 8, dtype=np.int64)
 
-    z1, _, comps = _q_grid(y[:, 0], -eight, eight, 2)
-    comps = comps.copy()
+    z1, _, comps = _q_grid(y[:, 0], -8, 8, 2)
     sat = np.abs(z1) == 8
     n = (8 - z1) // 2
 
@@ -473,7 +261,7 @@ def fda_decode_batch8(ys: np.ndarray, amplitude: float = 1.0):
     right = sat_l & ~sat_r & ~sat
     if right.any():
         stat = half3 - m2 + m1
-        zr, _, cr = _q_grid(stat, -np.ones(nrows, np.int64), np.ones(nrows, np.int64), 1)
+        zr, _, cr = _q_grid(stat, -1, 1, 1)
         rk2 = (zr + n_r) >> 1
         rk3 = zr + n_r - 2 * rk2
         rk1 = n_r - rk2 - rk3

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import NOISE_BLOCK, ebn0_to_sigma, random_words, spread_many, _rng
 from .codebook import TernaryCodebook, build_codebook
-from .decoder import ML_BOUND, MlDecoder, fda_decode, fda_decode_batch8
+from .decoder import ML_BOUND, MlDecoder, fda_decode_batch
 
 WORKERS_ENV = "UDCDMA_WORKERS"
 _ROLE_DATA = 0
@@ -111,17 +111,8 @@ def _run_block(args) -> dict:
     out = {}
     for dec in _STATE["decoders"]:
         if dec == "fda":
-            if c.cols == 8:
-                decoded, comps = fda_decode_batch8(chips, amplitude)
-                total_comps = int(comps.sum())
-            else:
-                rows = []
-                total_comps = 0
-                for row in chips:
-                    o = fda_decode(c, row, amplitude)
-                    rows.append(o.word)
-                    total_comps += o.comparisons
-                decoded = np.stack(rows)
+            decoded, comps = fda_decode_batch(c, chips, amplitude)
+            total_comps = int(comps.sum())
         else:
             decoded = _STATE["ml"].decode_batch(chips)
             total_comps = trials * _STATE["ml"].comparisons

@@ -18,7 +18,7 @@ from udcdma.complexity import (
     comparison_census,
     empirical_avg_comparisons,
 )
-from udcdma.decoder import MlDecoder, _all_words, fda_decode, fda_decode_batch8
+from udcdma.decoder import MlDecoder, _all_words, fda_decode_batch, fda_decode_batch8
 from udcdma.harness import SimConfig, run_ber_sweep
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -95,11 +95,8 @@ def test_criterion_4_roundtrip_levels_2_and_3():
     ok = bool((dec2 == w2).all())
     c3 = build_codebook(3)
     w3 = _all_words(17)
-    y3 = spread_many(c3, w3).astype(np.float64)
-    for x, y in zip(w3, y3):
-        if not np.array_equal(fda_decode(c3, y).word, x):
-            ok = False
-            break
+    dec3, _ = fda_decode_batch(c3, spread_many(c3, w3).astype(np.float64))
+    ok &= bool((dec3 == w3).all())
     assert _line(4, ok, "exact recovery of all 256 and all 131072 words")
 
 
@@ -109,7 +106,8 @@ def test_criterion_4_roundtrip_level4_random():
     rng = np.random.default_rng(12345)
     words = (2 * rng.integers(0, 2, size=(100_000, 35)) - 1).astype(np.int8)
     chips = spread_many(c4, words).astype(np.float64)
-    ok = all(np.array_equal(fda_decode(c4, y).word, x) for x, y in zip(words, chips))
+    decoded, _ = fda_decode_batch(c4, chips)
+    ok = bool((decoded == words).all())
     assert _line(4, ok, "exact recovery of 100000 random level-4 words")
 
 

@@ -117,3 +117,14 @@ def test_bad_grid_diagnosed(capsys):
     code, _, err = run_cli(capsys, "ber", "--level", "2", "--snr", "5::", "--trials", "10")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("decoder", ["fda", "ml"])
+@pytest.mark.parametrize("chips", ["inf,1,1,0", "nan,1,1,0"])
+def test_decode_non_finite_chips_diagnosed(capsys, chips, decoder):
+    code, out, err = run_cli(capsys, "decode", "--level", "2", "--y", chips,
+                             "--decoder", decoder)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "finite" in err

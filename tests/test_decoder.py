@@ -1,27 +1,34 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from udcdma.channel import spread, spread_many
 from udcdma.codebook import build_codebook
 from udcdma.decoder import (
     MlDecoder,
+    _D_HI,
+    _D_LO,
     _all_words,
-    delta_params,
+    _decode_block,
+    _q_grid,
     fda_decode,
+    fda_decode_batch,
     fda_decode_batch8,
-    lr_decode,
     ml_decode,
     quantize,
-    right_decode,
-    sub_decode8,
 )
 
 C2 = build_codebook(2)
 C3 = build_codebook(3)
+C4 = build_codebook(4)
 WORDS8 = _all_words(8)
 CHIPS8 = spread_many(C2, WORDS8).astype(np.float64)
+GOLDEN = Path(__file__).parent / "data" / "fda_golden.npz"
 
 
 def brute_nearest(y, lo, hi, step):
@@ -80,6 +87,39 @@ def test_quantize_rejects_bad_grid():
         quantize(0.0, 2, -2, 2)
     with pytest.raises(ValueError):
         quantize(0.0, -2, 1, 2)
+    with pytest.raises(ValueError):
+        quantize(0.0, 0, 3, 4)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            quantize(bad, -8, 8, 2)
+
+
+def _q_reference(y: float, lo: int, hi: int, step: int):
+    """The per-value quantizer in Python integers, which cannot overflow."""
+    m = (hi - lo) // step + 1
+    i_lo = min(max(math.ceil((y - lo) / step - 0.5), 0), m - 1)
+    zeta = m - i_lo
+    return lo + step * i_lo, zeta, min(zeta, m + 1 - zeta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+    st.integers(-40, 0),
+    st.integers(0, 40),
+    st.sampled_from([1, 2]),
+)
+def test_quantize_saturates_on_every_finite_float(ys, lo, hi, step):
+    # one grid, a block of arbitrary finite statistics (1e300 included): the
+    # array quantizer, the scalar one and the integer reference all agree
+    if (hi - lo) % step:
+        hi += 1
+    z, zeta, comps = _q_grid(np.array(ys), lo, hi, step)
+    for i, y in enumerate(ys):
+        ref = _q_reference(y, lo, hi, step)
+        assert (int(z[i]), int(zeta[i]), int(comps[i])) == ref
+        q = quantize(y, lo, hi, step)
+        assert (q.z, q.zeta, q.comparisons) == ref
 
 
 def test_first_quantize_cost_law():
@@ -91,48 +131,51 @@ def test_first_quantize_cost_law():
         assert q.comparisons == min(j, 8 - j) + 1
 
 
+def _half_up(numer: int, denom: int = 5) -> int:
+    return (2 * numer + denom) // (2 * denom)
+
+
 def test_delta_params_frozen_values():
-    p0 = delta_params(0, 1)
-    assert (p0.delta_min, p0.delta_max) == (-1, 0)
-    p4 = delta_params(4, 1)
-    assert (p4.delta_min, p4.delta_max) == (-3, 0)
-    assert delta_params(1, 1).lam == 2
-    assert delta_params(1, 4).lam == 0
-    # eta <= 0 gates beta_min to zero
-    assert delta_params(1, 1).beta_min == 0
-    assert delta_params(1, 5).beta_min == 2
+    # the leaf's third-chip scan offsets per left count n_l
+    assert (_D_LO[0], _D_HI[0]) == (-1, 0)
+    assert (_D_LO[4], _D_HI[4]) == (-3, 0)
+    for n_l in range(5):
+        assert _D_LO[n_l] == -_half_up(3 * (n_l + 1))
+        assert _D_HI[n_l] == _half_up(3 * n_l) % 2
 
 
 def test_sub_decode8_zero_counts():
-    bits, comps, split = sub_decode8(np.array([8.0, 1.0, 1.0, 0.0]), 0, 0, 0)
-    assert bits.tolist() == [1] * 8
-    assert comps == 0
-    assert split.n_l == 0 and split.n_r == 0
+    # a child leaf handed its count pays no first quantize; zero -1s costs nothing
+    words, comps = _decode_block(np.array([[8.0, 1.0, 1.0, 0.0]]), 8, np.array([0]))
+    assert words.tolist() == [[1] * 8]
+    assert comps.tolist() == [0]
 
 
 def test_sub_decode8_saturated_counts():
-    y = spread(C2, -np.ones(8, dtype=int))
-    bits, comps, split = sub_decode8(y, 8, 4, 3)
-    assert bits.tolist() == [-1] * 8
-    assert comps == 0
-    assert (split.m1, split.m2, split.m3, split.m11) == (2, 1, 1, 1)
-    assert (split.k1, split.k2, split.k3) == (1, 1, 1)
+    # every count, every word: a known count saves exactly the first-quantize
+    # cost min(n+1, 9-n), so the two saturated counts cost nothing at all
+    n = (WORDS8 == -1).sum(axis=1)
+    top_words, top_comps = fda_decode_batch8(CHIPS8)
+    words, comps = _decode_block(CHIPS8, 8, n)
+    assert np.array_equal(words, WORDS8) and np.array_equal(top_words, WORDS8)
+    assert np.array_equal(comps, top_comps - np.minimum(n + 1, 9 - n))
+    assert (comps[(n == 0) | (n == 8)] == 0).all()
+    assert (comps[(n > 0) & (n < 8)] >= 1).all()
 
 
 def test_right_decode_single_negative_at_slot6():
+    # left side saturated at zero, right side decoded by one third-chip test
     x = np.array([1, 1, 1, 1, 1, -1, 1, 1])
-    y = spread(C2, x)
-    (k1, k2, k3), _ = right_decode(y, 1, 0, 0)
-    assert (k1, k2, k3) == (1, 0, 0)
+    out = fda_decode(C2, spread(C2, x))
+    assert np.array_equal(out.word, x)
+    assert out.comparisons == 2 + 1 + 1   # first, split, right-side quantize
 
 
 def test_lr_decode_first_candidate_beats_sentinel():
-    x = np.array([1, -1, 1, 1, 1, -1, 1, 1])   # one -1 each side
-    y = spread(C2, x)
-    counts, comps = lr_decode(y, 1, 1)
-    assert comps >= 1
-    m1, m2, m3, m11, k1, k2, k3 = counts
-    assert (m1, m11, k1) == (1, 0, 1)
+    x = np.array([1, -1, 1, 1, 1, -1, 1, 1])   # one -1 each side: the offset scan
+    out = fda_decode(C2, spread(C2, x))
+    assert np.array_equal(out.word, x)
+    assert out.comparisons >= 3
 
 
 def test_fda_saturation_branches():
@@ -162,31 +205,91 @@ def test_fda_amplitude_normalization():
 
 def test_fda_level3_random_roundtrip():
     rng = np.random.default_rng(17)
-    for _ in range(300):
-        x = (2 * rng.integers(0, 2, 17) - 1).astype(np.int8)
-        out = fda_decode(C3, spread(C3, x))
-        assert np.array_equal(out.word, x)
+    x = (2 * rng.integers(0, 2, size=(3000, 17)) - 1).astype(np.int8)
+    words, _ = fda_decode_batch(C3, spread_many(C3, x))
+    assert np.array_equal(words, x)
 
 
 def test_fda_level4_random_roundtrip():
-    c4 = build_codebook(4)
     rng = np.random.default_rng(23)
-    for _ in range(200):
-        x = (2 * rng.integers(0, 2, 35) - 1).astype(np.int8)
-        out = fda_decode(c4, spread(c4, x))
-        assert np.array_equal(out.word, x)
+    x = (2 * rng.integers(0, 2, size=(2000, 35)) - 1).astype(np.int8)
+    words, _ = fda_decode_batch(C4, spread_many(C4, x))
+    assert np.array_equal(words, x)
 
 
 def test_count_consistency_invariant():
-    for x, y in zip(WORDS8, CHIPS8):
-        n = int((x == -1).sum())
-        if n in (0, 8):
-            continue
-        q1 = quantize(y[0], -8, 8, 2)
-        n_dec = (8 - q1.z) // 2
-        bits, _, split = sub_decode8(y, n_dec, int((x[:4] == -1).sum()), int((x[5:] == -1).sum()))
-        mid = (1 - int(bits[4])) // 2
-        assert split.n == split.n_l + split.n_r + mid
+    # on any input, noisy or extreme, the decoded word holds exactly the -1
+    # count read off the first chip: the splits and the leaf conserve it
+    golden = np.load(GOLDEN)
+    for level in (2, 3, 4, 5):
+        c = build_codebook(level)
+        ys = golden[f"chips{level}"]
+        words, _ = fda_decode_batch(c, ys)
+        z1, _, _ = _q_grid(ys[:, 0], -c.cols, c.cols, 2)
+        assert np.array_equal((words == -1).sum(axis=1), (c.cols - z1) // 2)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_batch_matches_golden_file(level):
+    # (word, comparisons) frozen from the per-word recursive decoder that the
+    # batch recursion replaced, on seeded inputs: noiseless and at sigma 0.7
+    # and 2.0 (sets 0-2), lattice points moved by whole and half units onto
+    # the quantizer thresholds (set 3), and noisy chips with some replaced by
+    # 0, +-1e-300, +-0.5, +-3, +-1e18 or +-1e300 (set 4)
+    golden = np.load(GOLDEN)
+    c = build_codebook(level)
+    words, comps = fda_decode_batch(c, golden[f"chips{level}"])
+    assert np.bincount(golden[f"set{level}"]).tolist() == [128, 128, 128, 128, 64]
+    assert np.array_equal(np.packbits(words < 0, axis=1), golden[f"words{level}"])
+    assert np.array_equal(comps, golden[f"comparisons{level}"])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([C2, C3]).flatmap(lambda c: st.tuples(
+        st.just(c),
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(c.rows)),
+                   elements=st.one_of(_FINITE, st.floats(-20, 20))))),
+    st.one_of(st.just(1.0), st.floats(1e-300, 1e300)),
+)
+def test_batch_and_batch_of_one_agree_on_every_finite_float(case, amplitude):
+    c, ys = case
+    words, comps = fda_decode_batch(c, ys, amplitude)
+    assert np.isin(words, (-1, 1)).all() and (comps >= 1).all()
+    for i, y in enumerate(ys):
+        out = fda_decode(c, y, amplitude)
+        assert np.array_equal(out.word, words[i]) and out.comparisons == comps[i]
+        # a first chip past either end of its grid saturates the whole word
+        with np.errstate(over="ignore"):
+            first = y[0] / amplitude
+        if abs(first) > c.cols:
+            assert (words[i] == np.sign(first)).all() and comps[i] == 1
+
+
+def test_fda_saturates_on_huge_and_rescaled_chips():
+    for y, a in (([1e300, 1.0, 1.0, 0.0], 1.0), ([8.0, 8.0, 4.0, 4.0], 1e-300),
+                 ([1e300, 1.0, 1.0, 0.0], 1e-300)):
+        out = fda_decode(C2, y, amplitude=a)
+        assert out.word.tolist() == [1] * 8 and out.comparisons == 1
+        words, comps = fda_decode_batch8([y], amplitude=a)
+        assert words.tolist() == [[1] * 8] and comps.tolist() == [1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_chips_rejected(bad):
+    y = np.array([[1.0, 1.0, bad, 0.0]])
+    for decode in (lambda: fda_decode(C2, y[0]), lambda: fda_decode_batch(C2, y),
+                   lambda: fda_decode_batch(C3, np.hstack([y, y])),
+                   lambda: fda_decode_batch8(y), lambda: MlDecoder(C2).decode_batch(y)):
+        with pytest.raises(ValueError, match=r"finite.*row 0, chip 2"):
+            decode()
+    with pytest.raises(ValueError, match="amplitude"):
+        fda_decode(C2, [8.0, 1.0, 1.0, 0.0], amplitude=bad)
+    with pytest.raises(ValueError, match="float32"):
+        MlDecoder(C2).decode_batch([[1e300, 1.0, 1.0, 0.0]])
 
 
 def test_fda_rejects_level1_and_bad_shapes():
@@ -194,6 +297,10 @@ def test_fda_rejects_level1_and_bad_shapes():
         fda_decode(build_codebook(1), [1.0, 1.0])
     with pytest.raises(ValueError):
         fda_decode(C2, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        fda_decode_batch(C3, np.zeros((5, 4)))
+    with pytest.raises(ValueError):
+        fda_decode(C2, [8.0, 1.0, 1.0, 0.0], amplitude=0.0)
 
 
 def test_batch_matches_scalar_noiseless():
@@ -205,14 +312,16 @@ def test_batch_matches_scalar_noiseless():
 
 
 def test_batch_matches_scalar_noisy():
+    # a block decodes row for row as each row alone does
     rng = np.random.default_rng(31)
-    x = (2 * rng.integers(0, 2, size=(4000, 8)) - 1).astype(np.int8)
-    ys = spread_many(C2, x) + rng.normal(0, 1.4, size=(4000, 4))
-    words, comps = fda_decode_batch8(ys)
-    for i in range(0, 4000, 7):
-        out = fda_decode(C2, ys[i])
-        assert np.array_equal(out.word, words[i])
-        assert out.comparisons == comps[i]
+    for c in (C2, C3, C4):
+        x = (2 * rng.integers(0, 2, size=(4000, c.cols)) - 1).astype(np.int8)
+        ys = spread_many(c, x) + rng.normal(0, 1.4, size=(4000, c.rows))
+        words, comps = fda_decode_batch(c, ys)
+        for i in range(0, 4000, 7):
+            out = fda_decode(c, ys[i])
+            assert np.array_equal(out.word, words[i])
+            assert out.comparisons == comps[i]
 
 
 def test_batch_emits_antipodal_under_heavy_noise():
@@ -270,14 +379,9 @@ def test_ml_bound_refused():
 
 
 def test_constellation_points_descending():
-    from udcdma.decoder import Constellation
-
-    c = Constellation(-8, 8, 2)
-    assert c.points == [8, 6, 4, 2, 0, -2, -4, -6, -8]
-    assert Constellation(0, 0, 1).points == [0]
-    with pytest.raises(ValueError):
-        Constellation(2, -2, 2)
-    with pytest.raises(ValueError):
-        Constellation(-2, 1, 2)
-    with pytest.raises(ValueError):
-        Constellation(0, 3, 4)
+    # zeta ranks the grid {hi, hi-step, ..., lo} from the high end
+    points = [quantize(v, -8, 8, 2) for v in range(8, -9, -2)]
+    assert [q.z for q in points] == [8, 6, 4, 2, 0, -2, -4, -6, -8]
+    assert [q.zeta for q in points] == list(range(1, 10))
+    q = quantize(5.0, 0, 0, 1)
+    assert (q.z, q.zeta, q.comparisons) == (0, 1, 1)
