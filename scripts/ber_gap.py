@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Measure the fast-decoder vs ML SNR penalty at a target BER for the 4x8 code.
+"""Measure the fast-decoder vs ML SNR penalty at a target BER for one code level.
 
 Both decoders see identical words and noise (common random numbers); the
-crossing SNRs come from log-linear interpolation on the sweep grid.
+crossing SNRs come from log-linear interpolation on the sweep grid.  The
+default grid brackets BER 1e-3 at level 2 (the 4x8 code); other levels need
+their own --snr-lo/--snr-hi.
 """
 import argparse
 import math
@@ -22,6 +24,7 @@ def crossing(points, decoder, target):
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--level", type=int, choices=(2, 3, 4, 5), default=2)
     ap.add_argument("--trials", type=int, default=1_000_000)
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--target", type=float, default=1e-3)
@@ -33,7 +36,7 @@ def main() -> None:
 
     count = int(round((args.snr_hi - args.snr_lo) / args.step)) + 1
     grid = tuple(round(args.snr_lo + i * args.step, 6) for i in range(count))
-    cfg = SimConfig(level=2, trials_per_point=args.trials, rng_seed=args.seed,
+    cfg = SimConfig(level=args.level, trials_per_point=args.trials, rng_seed=args.seed,
                     snr_db_grid=grid, decoders=("fda", "ml"), workers=args.workers)
     pts = run_ber_sweep(cfg)
     for p in pts:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,8 @@ def _parse_grid(text: str) -> tuple:
     if len(parts) != 3:
         raise ValueError("grid must look like a:step:b")
     a, step, b = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (a, step, b)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
     count = int(round((b - a) / step)) + 1

@@ -1,4 +1,4 @@
-"""Comparison-only recursive decoder for the ternary codebooks, plus exhaustive ML.
+"""Comparison-only recursive decoder for the ternary codebooks, plus exact ML.
 
 The fast decoder works on whole blocks of chip vectors at once.  It reads the
 number of -1s in each word off the first chip, the left/right split off the
@@ -7,6 +7,10 @@ known exactly; the 4x8 seed matrix is the leaf (``fda_decode_batch8``).  The
 only arithmetic charged to the complexity budget is the threshold
 comparisons inside the constellation quantizer; every other step is index
 bookkeeping.  ``fda_decode`` decodes one vector as a block of one.
+
+``MlDecoder`` is the exact minimum-distance reference.  Above level 2 it
+never lists the 2^K hypotheses: it runs min-sum over the recursion tree on
+per-count half residuals, so its cost grows with the square of the user count.
 
 Quantizer conventions used throughout (all validated exhaustively by the
 noiseless round-trip suite):
@@ -24,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import TernaryCodebook
+from .codebook import TernaryCodebook, build_codebook
 
-ML_BOUND = 17
 _FLOAT_MAX = np.finfo(np.float64).max
 
 
@@ -154,57 +157,167 @@ def fda_decode(c: TernaryCodebook, y, amplitude: float = 1.0) -> DecodeOutcome:
     return DecodeOutcome(word=words[0], comparisons=int(comps[0]))
 
 
-def _all_words(users: int) -> np.ndarray:
-    """All 2^K antipodal words in lexicographic order (-1 before +1)."""
-    idx = np.arange(1 << users, dtype=np.int64)
+def _index_words(idx: np.ndarray, users: int) -> np.ndarray:
+    """Antipodal words of the given indices: bit users-1-j of an index is user j, 1 is +1."""
     bits = (idx[:, None] >> np.arange(users - 1, -1, -1)) & 1
     return (2 * bits - 1).astype(np.int8)
 
 
-# Most scores per ML chunk: 2^24 float32 is 64 MiB per temporary array.
-_ML_CHUNK_SCORES = 1 << 24
+def _all_words(users: int) -> np.ndarray:
+    """All 2^K antipodal words in lexicographic order (-1 before +1)."""
+    return _index_words(np.arange(1 << users, dtype=np.int64), users)
+
+
+# ML decodes levels 2 to ML_MAX_LEVEL.  A level-6 decode would index its
+# 71-user halves, past the 63 bits of an int64.
+ML_MAX_LEVEL = 5
+# Rows per ML chunk: at level 5 the largest temporary is 2048 x 71 x 36
+# float64 cells, 40 MiB.
+_ML_ROWS = 2048
+_NO_INDEX = np.iinfo(np.int64).max
+
+# The 256 level-2 words grouped by -1 count n (row n), each group in index
+# order and padded with -1 to the largest group, C(8, 4) = 70 words.
+_WORDS8 = _all_words(8)
+_GROUPS8 = np.array([np.pad(np.flatnonzero((_WORDS8 < 0).sum(axis=1) == n),
+                            (0, 70 - math.comb(8, n)), constant_values=-1) for n in range(9)])
 
 
 class MlDecoder:
-    """Exhaustive minimum-distance decoder over all 2^K hypotheses."""
+    """Exact minimum-distance decoder, by min-sum over per-count half residuals.
+
+    For level i >= 3, ``C x = [sL+m+sR, sL-sR, core xL, core xR]`` with sL,
+    sR the sums of the halves and m the middle user, so the squared residual
+    splits by row block.  A half's sum is fixed by its -1 count, so each
+    half needs only its least residual per count, and those follow by the
+    same split one level down; the leaf is the level-2 table grouped by
+    count (min-sum on the recursion tree: Kschischang, Frey and Loeliger,
+    IEEE Trans. IT 2001).  A residual is scored as ``|t|^2 - 2 y.t``, the
+    squared distance less ``|y|^2``, so large chips keep their differences.
+    Ties go to the lexicographically smallest word, as a sweep over all 2^K
+    words in index order would give.  Level 2 is a single float32 argmin
+    over its 256 words; above it scores are float64, from the chips cast
+    once to float32.  ``comparisons`` is 2^K, the hypothesis count of the
+    brute-force ML the paper prices.
+    """
 
     def __init__(self, c: TernaryCodebook, amplitude: float = 1.0):
-        if c.cols > ML_BOUND:
-            raise ValueError(
-                f"ML over {c.cols} users needs 2^{c.cols} ~ {2.0**c.cols:.2e} "
-                f"hypotheses; bound is {ML_BOUND}"
-            )
-        self.words = _all_words(c.cols)
-        self.table = amplitude * (self.words @ c.entries.T.astype(np.int64)).astype(np.float32)
-        self.norms = (self.table.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
+        if not 2 <= c.level <= ML_MAX_LEVEL:
+            raise ValueError(f"ML decodes levels 2 to {ML_MAX_LEVEL}, not level {c.level}")
+        if not (math.isfinite(amplitude) and amplitude > 0):
+            raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
+        self.level, self.rows, self.users = c.level, c.rows, c.cols
+        self.amplitude = amplitude
         self.comparisons = 1 << c.cols
+        seed = build_codebook(2).entries.astype(np.int64)
+        if c.level == 2:
+            self._table = (amplitude * (_WORDS8 @ seed.T)).astype(np.float32)
+            self._norms = (self._table.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
+            return
+        # leaf scores |t|^2 - 2 y.t = y @ (-2 t) + |t|^2, grouped by count;
+        # a pad scores +inf
+        leaf = amplitude * (_WORDS8 @ seed[1:].T)
+        self._leaf = np.vstack((-2.0 * leaf, np.zeros((1, 3))))[_GROUPS8].reshape(-1, 3).T
+        self._leaf_norms = np.append((leaf ** 2).sum(axis=1), np.inf)[_GROUPS8].ravel()
+        # per level j >= 3, with h users per half: the cells (pair count
+        # s = nL + nR, left count nL) of a split, and the chip offsets of its
+        # row sL - sR = 2 (nR - nL)
+        self._cells = {}
+        h = 8
+        for j in range(3, c.level + 1):
+            nl = np.arange(h + 1)[None, :]
+            nr = np.arange(2 * h + 1)[:, None] - nl
+            on = (nr >= 0) & (nr <= h)
+            self._cells[j] = (h, amplitude * 2.0 * np.arange(-h, h + 1),
+                              np.clip(nr - nl + h, 0, 2 * h), np.where(on, nr, h + 1))
+            h = 2 * h + 1
 
     def decode(self, y) -> DecodeOutcome:
-        idx = int(self.decode_batch(np.asarray(y, dtype=np.float64)[None, :], indices=True)[0])
-        return DecodeOutcome(word=self.words[idx].copy(), comparisons=self.comparisons)
+        """Decode one chip vector as a batch of one."""
+        word = self.decode_batch(np.asarray(y, dtype=np.float64)[None, :])[0]
+        return DecodeOutcome(word=word, comparisons=self.comparisons)
 
-    def decode_batch(self, ys: np.ndarray, indices: bool = False, chunk: int | None = None):
-        """Row-wise ML decode; returns words (or hypothesis indices).
-
-        Rows go through in chunks of ``chunk`` rows; the default is 2048, cut
-        so that a chunk holds at most 2^24 scores (64 MiB of float32).
-        """
+    def decode_batch(self, ys) -> np.ndarray:
+        """Row-wise ML decode of an (N, rows) chip block into (N, K) int8 words."""
         y64 = np.asarray(ys, dtype=np.float64)
+        if y64.ndim != 2 or y64.shape[1] != self.rows:
+            raise ValueError(f"expected an (N, {self.rows}) chip block, got shape {y64.shape}")
         with np.errstate(over="ignore"):
             ys = y64.astype(np.float32)
         _require_finite(ys, "chips must be finite in float32", shown=y64)
-        if chunk is None:
-            chunk = min(2048, _ML_CHUNK_SCORES // len(self.table))
-        out = np.empty(ys.shape[0], dtype=np.int64)
-        for lo in range(0, ys.shape[0], chunk):
-            hi = min(lo + chunk, ys.shape[0])
-            scores = self.norms[None, :] - 2.0 * (ys[lo:hi] @ self.table.T)
-            out[lo:hi] = np.argmin(scores, axis=1)
-        return out if indices else self.words[out]
+        out = np.empty((ys.shape[0], self.users), dtype=np.int8)
+        for lo in range(0, ys.shape[0], _ML_ROWS):
+            block = ys[lo:lo + _ML_ROWS]
+            if self.level == 2:
+                scores = block @ self._table.T
+                scores *= -2.0
+                scores += self._norms
+                out[lo:lo + len(block)] = _WORDS8[np.argmin(scores, axis=1)]
+            else:
+                out[lo:lo + len(block)] = self._decode_top(block.astype(np.float64))
+        return out
+
+    def _decode_top(self, y: np.ndarray) -> np.ndarray:
+        """Full chips: add the all-ones row, whose sum fixes the total count n."""
+        h = self._cells[self.level][0]
+        rest, left, mid, right = self._split(y[:, 1:], self.level)
+        t = self.amplitude * (self.users - 2.0 * np.arange(self.users + 1))
+        total = t * (t - 2.0 * y[:, :1]) + rest
+        tied = total == total.min(axis=1, keepdims=True)
+        for key in (left, mid, right):      # the smallest word: left half first
+            key = np.where(tied, key, _NO_INDEX)
+            tied &= key == key.min(axis=1, keepdims=True)
+        best = np.argmax(tied, axis=1)[:, None]
+        pick = lambda a: np.take_along_axis(a, best, axis=1)[:, 0]
+        return np.hstack((_index_words(pick(left), h), 2 * pick(mid)[:, None] - 1,
+                          _index_words(pick(right), h))).astype(np.int8)
+
+    def _half(self, y: np.ndarray, level: int):
+        """Least residual of a half-word's chips (its level's rows 1 on) per -1
+        count, and the index of the first word that reaches it."""
+        if level == 2:
+            r = y @ self._leaf
+            r += self._leaf_norms
+            r = r.reshape(len(y), 9, 70)
+            pos = np.argmin(r, axis=2)
+            return np.take_along_axis(r, pos[:, :, None], axis=2)[:, :, 0], _GROUPS8[np.arange(9), pos]
+        h = self._cells[level][0]
+        low, left, mid, right = self._split(y, level)
+        return low, (left << (h + 1)) | (mid << h) | right
+
+    def _split(self, y: np.ndarray, level: int):
+        """Min-sum over a level-``level`` split (rows 1 on) for every -1 count n.
+
+        Returns the least residual and, for its smallest minimiser, the left
+        half's index, the middle bit (1 for +1) and the right half's index.
+        """
+        h, offsets, at_diff, at_right = self._cells[level]
+        cut = (y.shape[1] + 1) // 2
+        low_l, idx_l = self._half(y[:, 1:cut], level - 1)
+        low_r, idx_r = self._half(y[:, cut:], level - 1)
+        row = offsets * (offsets - 2.0 * y[:, :1])
+        cell = row[:, at_diff]
+        cell += low_l[:, None, :]
+        cell += np.hstack((low_r, np.full((len(y), 1), np.inf)))[:, at_right]
+        pair = cell.min(axis=2)
+        key = np.where(cell == pair[:, :, None], idx_l[:, None, :], _NO_INDEX)
+        nl = np.argmin(key, axis=2)                         # tied nL: least left index
+        first = np.take_along_axis(idx_l, nl, axis=1)
+        # count n takes s = n - 1 with middle -1, or s = n with middle +1
+        inf = np.full((len(y), 1), np.inf)
+        none = np.full((len(y), 1), _NO_INDEX)
+        below, above = np.hstack((inf, pair)), np.hstack((pair, inf))
+        first_b, first_a = np.hstack((none, first)), np.hstack((first, none))
+        mid = (above < below) | ((above == below) & (first_a < first_b))
+        s = np.arange(2 * h + 2) - 1 + mid
+        nl = np.take_along_axis(nl, s, axis=1)
+        nr = np.clip(s - nl, 0, h)          # off the cells only if every residual overflows
+        return (np.where(mid, above, below), np.take_along_axis(idx_l, nl, axis=1),
+                mid.astype(np.int64), np.take_along_axis(idx_r, nr, axis=1))
 
 
 def ml_decode(c: TernaryCodebook, y, amplitude: float = 1.0) -> DecodeOutcome:
-    """One-shot exhaustive ML decode (builds the hypothesis table each call)."""
+    """One-shot ML decode of one chip vector."""
     return MlDecoder(c, amplitude).decode(y)
 
 

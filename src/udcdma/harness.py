@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import NOISE_BLOCK, ebn0_to_sigma, random_words, spread_many, _rng
 from .codebook import TernaryCodebook, build_codebook
-from .decoder import ML_BOUND, MlDecoder, fda_decode_batch
+from .decoder import ML_MAX_LEVEL, MlDecoder, fda_decode_batch
 
 WORKERS_ENV = "UDCDMA_WORKERS"
 _ROLE_DATA = 0
@@ -103,11 +103,12 @@ def _run_block(args) -> dict:
     seed, point_idx, block, trials, sigma = args
     c: TernaryCodebook = _STATE["codebook"]
     amplitude = _STATE["amplitude"]
-    words = random_words(seed, 2 * point_idx + _ROLE_DATA, block, NOISE_BLOCK, c.cols)[:trials]
+    # a short block draws only its first rows, the same values as a full one
+    words = random_words(seed, 2 * point_idx + _ROLE_DATA, block, trials, c.cols)
     chips = spread_many(c, words, amplitude)
     if sigma > 0.0:
         g = _rng(seed, 2 * point_idx + _ROLE_NOISE, block)
-        chips = chips + sigma * g.standard_normal((NOISE_BLOCK, c.rows))[:trials]
+        chips = chips + sigma * g.standard_normal((trials, c.rows))
     out = {}
     for dec in _STATE["decoders"]:
         if dec == "fda":
@@ -136,11 +137,9 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
     early-stop rule is evaluated on that same ordering.
     """
     c = build_codebook(cfg.level)
-    if "ml" in cfg.decoders and c.cols > ML_BOUND:
-        raise ValueError(
-            f"ml decoder requested for {c.cols} users; 2^{c.cols} hypotheses "
-            f"exceeds the bound of 2^{ML_BOUND}"
-        )
+    if "ml" in cfg.decoders and cfg.level > ML_MAX_LEVEL:
+        raise ValueError(f"ml decoder requested at level {cfg.level}; "
+                         f"ML decodes levels up to {ML_MAX_LEVEL}")
     if cfg.snr_convention == "ebn0":
         points = [(float(db), ebn0_to_sigma(db, c, cfg.amplitude)) for db in cfg.snr_db_grid]
     else:

@@ -171,9 +171,8 @@ def test_criterion_7_ml_agreement_level2():
 @pytest.mark.slow
 def test_criterion_7_ml_agreement_level3():
     c3 = build_codebook(3)
-    ml = MlDecoder(c3)
-    idx = ml.decode_batch(ml.table.astype(np.float64), indices=True, chunk=512)
-    ok = bool((idx == np.arange(1 << 17)).all())
+    w3 = _all_words(17)
+    ok = bool((MlDecoder(c3).decode_batch(spread_many(c3, w3)) == w3).all())
     assert _line(7, ok, "ML recovers every noiseless level-3 word "
                         "(equals the fast decoder by criterion 4)")
 

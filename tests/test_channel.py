@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from udcdma.channel import (
     NOISE_BLOCK,
     ChannelConfig,
+    _rng,
     add_awgn,
     ebn0_to_sigma,
     mean_signature_energy,
@@ -100,6 +101,17 @@ def test_block_prefix_property():
     block = noise_block(cfg, stream=0, block=0, nchips=4)
     for t in range(3):
         assert rows[t].tolist() == block[t].tolist()
+
+
+@pytest.mark.parametrize("rows", [1, 37, 128, 4095])
+def test_short_draws_are_prefixes_of_a_full_block(rows):
+    # a sweep draws only the trials it keeps; that must give the values of a full block
+    full = _rng(5, 0, 2).integers(0, 2, size=(NOISE_BLOCK, 17))
+    assert np.array_equal(_rng(5, 0, 2).integers(0, 2, size=(rows, 17)), full[:rows])
+    full = _rng(5, 1, 2).standard_normal((NOISE_BLOCK, 8))
+    assert np.array_equal(_rng(5, 1, 2).standard_normal((rows, 8)), full[:rows])
+    assert np.array_equal(random_words(5, 0, 2, rows, 17),
+                          random_words(5, 0, 2, NOISE_BLOCK, 17)[:rows])
 
 
 def test_random_words_shape_and_determinism():

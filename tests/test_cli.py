@@ -119,6 +119,15 @@ def test_bad_grid_diagnosed(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("grid", ["0:1:inf", "0:1:nan"])
+def test_non_finite_grid_diagnosed(capsys, grid):
+    code, out, err = run_cli(capsys, "ber", "--level", "2", "--snr", grid, "--trials", "10")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("decoder", ["fda", "ml"])
 @pytest.mark.parametrize("chips", ["inf,1,1,0", "nan,1,1,0"])
 def test_decode_non_finite_chips_diagnosed(capsys, chips, decoder):

@@ -286,8 +286,10 @@ def test_non_finite_chips_rejected(bad):
                    lambda: fda_decode_batch8(y), lambda: MlDecoder(C2).decode_batch(y)):
         with pytest.raises(ValueError, match=r"finite.*row 0, chip 2"):
             decode()
-    with pytest.raises(ValueError, match="amplitude"):
-        fda_decode(C2, [8.0, 1.0, 1.0, 0.0], amplitude=bad)
+    for decode in (lambda: fda_decode(C2, [8.0, 1.0, 1.0, 0.0], amplitude=bad),
+                   lambda: MlDecoder(C3, bad)):
+        with pytest.raises(ValueError, match="amplitude"):
+            decode()
     with pytest.raises(ValueError, match="float32"):
         MlDecoder(C2).decode_batch([[1e300, 1.0, 1.0, 0.0]])
 
@@ -374,8 +376,78 @@ def test_ml_tie_breaks_to_lexicographically_smallest():
 
 
 def test_ml_bound_refused():
-    with pytest.raises(ValueError):
-        MlDecoder(build_codebook(4))
+    with pytest.raises(ValueError, match="levels 2 to 5"):
+        MlDecoder(build_codebook(6))
+
+
+def ml_oracle(c, ys, amplitude=1.0):
+    """Brute-force ML in float64: per row, the first word in index order with
+    the least |t|^2 - 2 y.t over all 2^K spreads t, from float32-cast chips."""
+    words = _all_words(c.cols)
+    t = amplitude * spread_many(c, words)
+    norms = (t ** 2).sum(axis=1)
+    y = np.asarray(ys, dtype=np.float32).astype(np.float64)
+    best = [np.argmin(norms - 2.0 * (y[i:i + 16] @ t.T), axis=1) for i in range(0, len(y), 16)]
+    return words[np.concatenate(best)]
+
+
+def _ml_inputs(c, kind, rng):
+    if kind == "lattice":       # integer and half-integer chips: many exact ties
+        return rng.integers(-2 * c.cols, 2 * c.cols + 1, size=(1200, c.rows)) / 2.0
+    if kind == "large":         # finite float32 chips up to the float32 range
+        scale = np.array([1e4, 1e12, 1e30, 1e36] + ([3e38] if c.level > 2 else []))
+        size = (len(scale), 120, c.rows)
+        return (rng.uniform(-1, 1, size=size) * scale[:, None, None]).reshape(-1, c.rows)
+    x = 2 * rng.integers(0, 2, size=(2100, c.cols)) - 1     # crosses a 2048-row chunk
+    return spread_many(c, x) + rng.normal(0, rng.choice([0.35, 0.7, 1.5], size=(2100, 1)),
+                                         size=(2100, c.rows))
+
+
+@pytest.mark.parametrize("kind", ["noisy", "lattice", "large"])
+@pytest.mark.parametrize("level", [2, 3])
+def test_ml_matches_brute_force_oracle(level, kind):
+    # level-2 float32 products overflow past about 2e37, so its large chips stop at 1e36
+    c = build_codebook(level)
+    ys = _ml_inputs(c, kind, np.random.default_rng(53 + level))
+    assert np.array_equal(MlDecoder(c).decode_batch(ys), ml_oracle(c, ys))
+    if kind == "noisy":
+        y = 2.5 * ys[:300]
+        assert np.array_equal(MlDecoder(c, 2.5).decode_batch(y), ml_oracle(c, y, 2.5))
+
+
+def test_ml_half_tables_match_brute_force():
+    # a level-3 half (rows 1 on): per -1 count, the least score and the first
+    # word reaching it, on half-integer chips where exact ties are common
+    words = _all_words(17)
+    t = spread_many(C3, words)[:, 1:]
+    norms = (t ** 2).sum(axis=1)
+    groups = [np.flatnonzero((words < 0).sum(axis=1) == n) for n in range(18)]
+    ys = np.random.default_rng(61).integers(-6, 7, size=(256, 7)) / 2.0
+    low, first = MlDecoder(C3)._half(ys, 3)
+    for lo in range(0, len(ys), 32):
+        scores = norms - 2.0 * (ys[lo:lo + 32] @ t.T)
+        for n, g in enumerate(groups):
+            assert np.array_equal(low[lo:lo + 32, n], scores[:, g].min(axis=1))
+            assert np.array_equal(first[lo:lo + 32, n], g[np.argmin(scores[:, g], axis=1)])
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_ml_residual_never_above_truth_or_fda(level):
+    # 2^35 and 2^71 hypotheses rule out the oracle: ML must still beat every word we can name
+    c = build_codebook(level)
+    rng = np.random.default_rng(59 + level)
+    x = (2 * rng.integers(0, 2, size=(1500, c.cols)) - 1).astype(np.int8)
+    ys = spread_many(c, x) + rng.normal(0, rng.choice([0.3, 0.8, 2.0], size=(1500, 1)),
+                                        size=(1500, c.rows))
+    ml_words = MlDecoder(c).decode_batch(ys)
+    fda_words, _ = fda_decode_batch(c, ys)
+    residual = lambda w: ((ys - spread_many(c, w)) ** 2).sum(axis=1)
+    r_ml = residual(ml_words)
+    assert (r_ml <= residual(x) + 1e-9).all()
+    assert (r_ml <= residual(fda_words) + 1e-9).all()
+    assert (r_ml < residual(fda_words) - 1e-9).any()
+    noiseless = MlDecoder(c).decode_batch(spread_many(c, x[:200]))
+    assert np.array_equal(noiseless, x[:200])
 
 
 def test_constellation_points_descending():

@@ -41,7 +41,7 @@ def test_config_validation():
 
 
 def test_ml_bound_checked_before_work():
-    cfg = SimConfig(level=4, trials_per_point=10, rng_seed=1, snr_db_grid=(5.0,),
+    cfg = SimConfig(level=6, trials_per_point=10, rng_seed=1, snr_db_grid=(5.0,),
                     decoders=("fda", "ml"))
     with pytest.raises(ValueError):
         run_ber_sweep(cfg)
