@@ -7,19 +7,10 @@ from .codebook import (
     UdWitness,
     build_codebook,
     max_ud_columns,
-    strip_first_row,
     verify_ud,
 )
-from .channel import ChannelConfig, add_awgn, ebn0_to_sigma, spread
-from .decoder import (
-    DecodeOutcome,
-    MlDecoder,
-    QuantizeResult,
-    fda_decode,
-    fda_decode_batch,
-    ml_decode,
-    quantize,
-)
+from .channel import ChannelConfig, ebn0_to_sigma
+from .decoder import DecodeOutcome, MlDecoder, fda_decode, fda_decode_batch
 
 __all__ = [
     "FtSearchResult",
@@ -28,17 +19,11 @@ __all__ = [
     "UdWitness",
     "build_codebook",
     "max_ud_columns",
-    "strip_first_row",
     "verify_ud",
     "ChannelConfig",
-    "add_awgn",
     "ebn0_to_sigma",
-    "spread",
     "DecodeOutcome",
     "MlDecoder",
-    "QuantizeResult",
     "fda_decode",
     "fda_decode_batch",
-    "ml_decode",
-    "quantize",
 ]

@@ -1,9 +1,11 @@
 """BPSK spreading through a ternary codebook plus reproducible AWGN.
 
-Noise is generated in fixed-size trial blocks, each block keyed by
+Words and noise are drawn in fixed-size trial blocks, each block keyed by
 (rng_seed, stream, block index) through a SeedSequence spawn key.  Any
 partitioning of trials across workers therefore sees identical samples, and
-a longer run reproduces the prefix of a shorter one.
+a longer run reproduces the prefix of a shorter one.  ``noise_block`` is the
+only noise draw; a sweep asks it for just the rows it keeps, which are the
+first rows of the full block.
 """
 from __future__ import annotations
 
@@ -18,32 +20,14 @@ NOISE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Amplitude, per-chip noise deviation and the master seed."""
+    """Per-chip noise deviation and the master seed."""
 
-    amplitude: float = 1.0
     noise_sigma: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-
-
-def _check_word(c: TernaryCodebook, x) -> np.ndarray:
-    w = np.asarray(x)
-    if w.shape != (c.cols,):
-        raise ValueError(f"word length {w.shape} does not match {c.cols} users")
-    if not np.isin(w, (-1, 1)).all():
-        raise ValueError("word entries must be -1 or +1")
-    return w.astype(np.int64)
-
-
-def spread(c: TernaryCodebook, x, amplitude: float = 1.0) -> np.ndarray:
-    """Noiseless chip vector A * C @ x for one antipodal word."""
-    w = _check_word(c, x)
-    return amplitude * (c.entries.astype(np.int64) @ w).astype(np.float64)
 
 
 def spread_many(c: TernaryCodebook, words: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
@@ -57,23 +41,12 @@ def _rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def noise_block(cfg: ChannelConfig, stream: int, block: int, nchips: int) -> np.ndarray:
-    """The (NOISE_BLOCK, nchips) Gaussian block for one (stream, block) pair."""
+def noise_block(cfg: ChannelConfig, stream: int, block: int, nchips: int,
+                trials: int = NOISE_BLOCK) -> np.ndarray:
+    """The first ``trials`` rows of the (NOISE_BLOCK, nchips) Gaussian block
+    for one (stream, block) pair."""
     g = _rng(cfg.rng_seed, stream, block)
-    return cfg.noise_sigma * g.standard_normal((NOISE_BLOCK, nchips))
-
-
-def add_awgn(y, cfg: ChannelConfig, stream: int = 0, trial: int = 0) -> np.ndarray:
-    """Add zero-mean Gaussian noise of deviation noise_sigma to each chip.
-
-    Deterministic in (rng_seed, stream, trial): the sample is row
-    trial % NOISE_BLOCK of the block trial // NOISE_BLOCK.
-    """
-    chips = np.asarray(y, dtype=np.float64)
-    if cfg.noise_sigma == 0.0:
-        return chips.copy()
-    block = noise_block(cfg, stream, trial // NOISE_BLOCK, chips.shape[0])
-    return chips + block[trial % NOISE_BLOCK]
+    return cfg.noise_sigma * g.standard_normal((trials, nchips))
 
 
 def random_words(seed: int, stream: int, block: int, trials: int, users: int) -> np.ndarray:

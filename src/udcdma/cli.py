@@ -10,7 +10,7 @@ import numpy as np
 
 from . import codebook as cb
 from . import complexity as cx
-from .decoder import fda_decode, ml_decode
+from .decoder import MlDecoder, fda_decode
 from .harness import SimConfig, curve_to_csv, curve_to_json, emit_results, run_ber_sweep
 
 
@@ -63,7 +63,7 @@ def _cmd_decode(args) -> int:
     c = cb.build_codebook(args.level)
     y = np.array([float(v) for v in args.y.split(",")], dtype=np.float64)
     if args.decoder == "ml":
-        out = ml_decode(c, y, args.amplitude)
+        out = MlDecoder(c, args.amplitude).decode(y)
     else:
         out = fda_decode(c, y, args.amplitude)
     word = " ".join(f"{int(v):+d}" for v in out.word)
@@ -113,20 +113,18 @@ def _cmd_ber(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     empirical = None
     if args.mode in ("empirical", "both"):
         empirical = "exhaustive" if args.samples is None else "sampled"
     if args.mode == "empirical":
         c = cb.build_codebook(args.level)
-        if args.samples is None:
-            value = cx.empirical_avg_comparisons(c, mode="exhaustive")
-        else:
-            value = cx.empirical_avg_comparisons(c, mode="sampled",
-                                                 count=args.samples, seed=args.seed)
+        value = cx.empirical_avg_comparisons(c, mode=empirical, count=args.samples, seed=args.seed)
         print(json.dumps({"level": args.level, "empirical_T": value}))
         return 0
-    rep = cx.complexity_report(args.level, empirical=empirical,
-                               count=args.samples or 100_000, seed=args.seed)
+    rep = cx.complexity_report(args.level, empirical=empirical, count=args.samples,
+                               seed=args.seed)
     print(cx.report_to_json(rep))
     return 0
 

@@ -92,7 +92,7 @@ def build_codebook(level: int) -> TernaryCodebook:
         return TernaryCodebook(2, _LEVEL2.copy())
 
     prev = build_codebook(level - 1)
-    core = strip_first_row(prev)            # (L/2 - 1) x K_prev
+    core = prev.entries[1:]                  # (L/2 - 1) x K_prev
     k_prev = prev.cols
     rows = 2 * prev.rows
     cols = 2 * k_prev + 1
@@ -105,13 +105,6 @@ def build_codebook(level: int) -> TernaryCodebook:
     m[2:2 + core.shape[0], :k_prev] = core
     m[2 + core.shape[0]:, k_prev + 1:] = core
     return TernaryCodebook(level, m)
-
-
-def strip_first_row(c: TernaryCodebook) -> np.ndarray:
-    """Return the codebook matrix with its first (all-ones) row removed."""
-    if c.rows < 2:
-        raise ValueError("cannot strip the first row of a single-row matrix")
-    return c.entries[1:].copy()
 
 
 def _as_ternary(matrix) -> np.ndarray:

@@ -6,16 +6,20 @@ second chip, and recurses on the two halves, whose first chips are then
 known exactly; the 4x8 seed matrix is the leaf (``fda_decode_batch8``).  The
 only arithmetic charged to the complexity budget is the threshold
 comparisons inside the constellation quantizer; every other step is index
-bookkeeping.  ``fda_decode`` decodes one vector as a block of one.
+bookkeeping.  ``fda_decode`` decodes one vector as a block of one.  There
+is one quantizer, ``_q_grid``, and it works on arrays.
 
 ``MlDecoder`` is the exact minimum-distance reference.  Above level 2 it
 never lists the 2^K hypotheses: it runs min-sum over the recursion tree on
 per-count half residuals, so its cost grows with the square of the user count.
+``MlDecoder.decode`` decodes one vector as a batch of one.
 
 Quantizer conventions used throughout (all validated exhaustively by the
 noiseless round-trip suite):
 
-* nearest-point with ties resolved toward the low end of the grid;
+* nearest-point with ties resolved toward the low end of the grid, decided
+  by exact comparisons with the midpoints, so a statistic one ulp past a
+  midpoint goes to the nearer point;
 * ``zeta`` is the 1-based index of the chosen point counted from the high
   end; scan-range formulas convert to the low-end rank where needed;
 * comparison cost is the rank from the nearer end of the grid (both ends
@@ -34,15 +38,6 @@ _FLOAT_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
-class QuantizeResult:
-    """Chosen constellation point, its rank from the high end, and the cost."""
-
-    z: int
-    zeta: int
-    comparisons: int
-
-
-@dataclass(frozen=True)
 class DecodeOutcome:
     """Recovered antipodal word plus total quantizer comparisons consumed."""
 
@@ -58,28 +53,20 @@ def _q_grid(y: np.ndarray, lo, hi, step: int):
     its rank from the nearer end: a word with j minority symbols pays j+1
     tests at the first decoder quantize, and exactly 1 when the first chip
     saturates.  The grid index is clipped while still a float, so any finite
-    or infinite statistic saturates at a grid end.
+    or infinite statistic saturates at a grid end.  The index counts the
+    midpoints below ``y``.  Midpoints are half-integers, so rounding
+    ``y - h`` never crosses one; it can only land on one from above, which
+    the exact test against that midpoint undoes.
     """
     m = (hi - lo) // step + 1
-    i_lo = np.clip(np.ceil((y - lo) / step - 0.5), 0, m - 1).astype(np.int64)
+    h = lo + step / 2                       # the lowest midpoint
+    i = np.ceil((y - h) / step)
+    i += y > h + step * i
+    i_lo = np.minimum(np.maximum(i, 0), m - 1).astype(np.int64)
     z = lo + step * i_lo
     zeta = m - i_lo
     comps = np.minimum(zeta, m + 1 - zeta)
     return z, zeta, comps
-
-
-def quantize(y: float, lo: int, hi: int, step: int = 2) -> QuantizeResult:
-    """Map a real statistic to the descending grid {hi, hi-step, ..., lo}."""
-    lo, hi, step = int(lo), int(hi), int(step)
-    if step not in (1, 2):
-        raise ValueError("step must be 1 or 2")
-    if lo > hi or (hi - lo) % step != 0:
-        raise ValueError(f"invalid constellation bounds ({lo}, {hi}, step {step})")
-    value = float(y)
-    if not math.isfinite(value):
-        raise ValueError(f"statistic must be finite, got {value}")
-    z, zeta, comps = _q_grid(np.array([value]), lo, hi, step)
-    return QuantizeResult(z=int(z[0]), zeta=int(zeta[0]), comparisons=int(comps[0]))
 
 
 def _require_finite(y: np.ndarray, what: str, shown=None) -> None:
@@ -314,11 +301,6 @@ class MlDecoder:
         nr = np.clip(s - nl, 0, h)          # off the cells only if every residual overflows
         return (np.where(mid, above, below), np.take_along_axis(idx_l, nl, axis=1),
                 mid.astype(np.int64), np.take_along_axis(idx_r, nr, axis=1))
-
-
-def ml_decode(c: TernaryCodebook, y, amplitude: float = 1.0) -> DecodeOutcome:
-    """One-shot ML decode of one chip vector."""
-    return MlDecoder(c, amplitude).decode(y)
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,14 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import os
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .channel import NOISE_BLOCK, ebn0_to_sigma, random_words, spread_many, _rng
+from .channel import (NOISE_BLOCK, ChannelConfig, ebn0_to_sigma, noise_block, random_words,
+                      spread_many)
 from .codebook import TernaryCodebook, build_codebook
 from .decoder import ML_MAX_LEVEL, MlDecoder, fda_decode_batch
 
-WORKERS_ENV = "UDCDMA_WORKERS"
 _ROLE_DATA = 0
 _ROLE_NOISE = 1
 
@@ -56,6 +53,11 @@ class SimConfig:
             raise ValueError("raw_sigma convention needs sigma_grid")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        grid = (*(self.snr_db_grid or ()), *(self.sigma_grid or ()))
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError(f"grid values must be finite, got {grid}")
+        if any(s < 0 for s in self.sigma_grid or ()):
+            raise ValueError(f"sigma values must be >= 0, got {self.sigma_grid}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,8 @@ def _run_block(args) -> dict:
     words = random_words(seed, 2 * point_idx + _ROLE_DATA, block, trials, c.cols)
     chips = spread_many(c, words, amplitude)
     if sigma > 0.0:
-        g = _rng(seed, 2 * point_idx + _ROLE_NOISE, block)
-        chips = chips + sigma * g.standard_normal((trials, c.rows))
+        chips = chips + noise_block(ChannelConfig(noise_sigma=sigma, rng_seed=seed),
+                                    2 * point_idx + _ROLE_NOISE, block, c.rows, trials)
     out = {}
     for dec in _STATE["decoders"]:
         if dec == "fda":
@@ -120,13 +122,6 @@ def _run_block(args) -> dict:
         wrong = decoded != words
         out[dec] = (int(wrong.sum()), int(wrong.any(axis=1).sum()), total_comps)
     return out
-
-
-def _resolve_workers(cfg: SimConfig) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return cfg.workers
 
 
 def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
@@ -145,18 +140,13 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
     else:
         points = [(None, float(s)) for s in cfg.sigma_grid]
 
-    workers = _resolve_workers(cfg)
     n_blocks = (cfg.trials_per_point + NOISE_BLOCK - 1) // NOISE_BLOCK
     block_sizes = [
         min(NOISE_BLOCK, cfg.trials_per_point - b * NOISE_BLOCK) for b in range(n_blocks)
     ]
 
-    pool = None
-    if workers > 1:
-        _init_state(cfg.level, cfg.amplitude, cfg.decoders)
-        pool = multiprocessing.get_context("fork").Pool(workers)
-    else:
-        _init_state(cfg.level, cfg.amplitude, cfg.decoders)
+    _init_state(cfg.level, cfg.amplitude, cfg.decoders)
+    pool = multiprocessing.get_context("fork").Pool(cfg.workers) if cfg.workers > 1 else None
 
     results = []
     try:
@@ -166,7 +156,7 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
             next_block = 0
             stop = False
             while next_block < n_blocks and not stop:
-                wave = range(next_block, min(next_block + max(workers * 4, 8), n_blocks))
+                wave = range(next_block, min(next_block + max(cfg.workers * 4, 8), n_blocks))
                 args = [(cfg.rng_seed, point_idx, b, block_sizes[b], sigma) for b in wave]
                 if pool is not None:
                     outs = pool.map(_run_block, args)

@@ -9,9 +9,9 @@ import os
 import numpy as np
 import pytest
 
-from udcdma.channel import spread, spread_many
+from udcdma.channel import spread_many
 from udcdma.cli import cli_main
-from udcdma.codebook import build_codebook, max_ud_columns, strip_first_row, verify_ud
+from udcdma.codebook import build_codebook, max_ud_columns, verify_ud
 from udcdma.complexity import (
     REFERENCE_CENSUS_4X8,
     analytic_T,
@@ -51,7 +51,7 @@ def test_criterion_1_construction(capsys):
         ok &= bool((m[1, :k_prev] == 1).all() and m[1, k_prev] == 0
                    and (m[1, k_prev + 1:] == -1).all())
         ok &= m[0, k_prev] == 1 and bool((m[1:, k_prev] == 0).all())
-        core = strip_first_row(prev)
+        core = prev.entries[1:]
         h = core.shape[0]
         ok &= bool((m[2:2 + h, :k_prev] == core).all())
         ok &= bool((m[2 + h:, k_prev + 1:] == core).all())

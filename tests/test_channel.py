@@ -9,12 +9,10 @@ from udcdma.channel import (
     NOISE_BLOCK,
     ChannelConfig,
     _rng,
-    add_awgn,
     ebn0_to_sigma,
     mean_signature_energy,
     noise_block,
     random_words,
-    spread,
     spread_many,
 )
 from udcdma.codebook import build_codebook
@@ -24,39 +22,34 @@ C3 = build_codebook(3)
 
 
 def test_spread_all_ones():
-    y = spread(C2, np.ones(8, dtype=int))
-    assert y.tolist() == [8.0, 1.0, 1.0, 0.0]
+    y = spread_many(C2, np.ones((1, 8), dtype=np.int8))
+    assert y.dtype == np.float64
+    assert y.tolist() == [[8.0, 1.0, 1.0, 0.0]]
 
 
 def test_spread_negation_and_scaling():
-    y = spread(C2, -np.ones(8, dtype=int))
-    assert y.tolist() == [-8.0, -1.0, -1.0, 0.0]
-    y2 = spread(C2, np.ones(8, dtype=int), amplitude=2.0)
-    assert y2.tolist() == [16.0, 2.0, 2.0, 0.0]
+    y = spread_many(C2, -np.ones((1, 8), dtype=np.int8))
+    assert y.tolist() == [[-8.0, -1.0, -1.0, 0.0]]
+    y2 = spread_many(C2, np.ones((1, 8), dtype=np.int8), amplitude=2.0)
+    assert y2.tolist() == [[16.0, 2.0, 2.0, 0.0]]
 
 
 def test_spread_matches_manual_product():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        x = 2 * rng.integers(0, 2, 17) - 1
-        manual = [sum(int(C3.entries[r, j]) * int(x[j]) for j in range(17)) for r in range(8)]
-        assert spread(C3, x).tolist() == manual
-
-
-def test_spread_rejects_bad_words():
-    with pytest.raises(ValueError):
-        spread(C2, np.ones(7, dtype=int))
-    with pytest.raises(ValueError):
-        spread(C2, np.zeros(8, dtype=int))
+    x = 2 * rng.integers(0, 2, size=(20, 17)) - 1
+    chips = spread_many(C3, x)
+    for row, w in zip(chips, x):
+        manual = [sum(int(C3.entries[r, j]) * int(w[j]) for j in range(17)) for r in range(8)]
+        assert row.tolist() == manual
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**8 - 1), st.floats(0.25, 4.0, allow_nan=False))
 def test_spread_linitivity(bits, amp):
-    x = np.array([1 if bits >> j & 1 else -1 for j in range(8)])
-    base = spread(C2, x)
-    assert np.allclose(spread(C2, x, amp), amp * base)
-    assert np.allclose(spread(C2, -x), -base)
+    x = np.array([[1 if bits >> j & 1 else -1 for j in range(8)]])
+    base = spread_many(C2, x)
+    assert np.allclose(spread_many(C2, x, amp), amp * base)
+    assert np.allclose(spread_many(C2, -x), -base)
 
 
 def test_spread_injective_on_level2():
@@ -66,23 +59,25 @@ def test_spread_injective_on_level2():
 
 
 def test_awgn_zero_sigma_identity():
+    # zero sigma draws an all-zero block, so adding it leaves the chips as they are
     cfg = ChannelConfig(noise_sigma=0.0, rng_seed=3)
-    y = np.array([1.0, -2.0, 3.0, 0.0])
-    out = add_awgn(y, cfg, stream=0, trial=5)
-    assert out.tolist() == y.tolist()
-    assert out is not y
+    y = np.array([[1.0, -2.0, 3.0, 0.0]])
+    noise = noise_block(cfg, stream=0, block=5, nchips=4, trials=7)
+    assert noise.shape == (7, 4) and not noise.any()
+    assert (y + noise).tolist() == [y[0].tolist()] * 7
 
 
 def test_awgn_deterministic_per_trial():
     cfg = ChannelConfig(noise_sigma=1.0, rng_seed=42)
-    y = np.zeros(4)
-    a = add_awgn(y, cfg, stream=1, trial=9)
-    b = add_awgn(y, cfg, stream=1, trial=9)
+    a = noise_block(cfg, stream=1, block=0, nchips=4)
+    b = noise_block(cfg, stream=1, block=0, nchips=4)
+    assert a.shape == (NOISE_BLOCK, 4)
     assert a.tolist() == b.tolist()
-    c = add_awgn(y, cfg, stream=1, trial=10)
-    assert a.tolist() != c.tolist()
-    d = add_awgn(y, cfg, stream=2, trial=9)
-    assert a.tolist() != d.tolist()
+    assert a[9].tolist() != a[10].tolist()
+    assert a.tolist() != noise_block(cfg, stream=2, block=0, nchips=4).tolist()
+    assert a.tolist() != noise_block(cfg, stream=1, block=1, nchips=4).tolist()
+    other_seed = ChannelConfig(noise_sigma=1.0, rng_seed=43)
+    assert a.tolist() != noise_block(other_seed, stream=1, block=0, nchips=4).tolist()
 
 
 def test_awgn_moments():
@@ -96,11 +91,13 @@ def test_awgn_moments():
 
 
 def test_block_prefix_property():
+    # a short draw is the first rows of the full block, scaled by sigma
     cfg = ChannelConfig(noise_sigma=0.7, rng_seed=11)
-    rows = [add_awgn(np.zeros(4), cfg, stream=0, trial=t) for t in range(3)]
     block = noise_block(cfg, stream=0, block=0, nchips=4)
-    for t in range(3):
-        assert rows[t].tolist() == block[t].tolist()
+    rows = noise_block(cfg, stream=0, block=0, nchips=4, trials=3)
+    assert rows.tolist() == block[:3].tolist()
+    unit = noise_block(ChannelConfig(noise_sigma=1.0, rng_seed=11), 0, 0, 4, trials=3)
+    assert rows.tolist() == (0.7 * unit).tolist()
 
 
 @pytest.mark.parametrize("rows", [1, 37, 128, 4095])
@@ -112,6 +109,8 @@ def test_short_draws_are_prefixes_of_a_full_block(rows):
     assert np.array_equal(_rng(5, 1, 2).standard_normal((rows, 8)), full[:rows])
     assert np.array_equal(random_words(5, 0, 2, rows, 17),
                           random_words(5, 0, 2, NOISE_BLOCK, 17)[:rows])
+    cfg = ChannelConfig(noise_sigma=0.3, rng_seed=5)
+    assert np.array_equal(noise_block(cfg, 1, 2, 8, rows), noise_block(cfg, 1, 2, 8)[:rows])
 
 
 def test_random_words_shape_and_determinism():
@@ -138,6 +137,5 @@ def test_ebn0_monotone_and_limit():
 
 def test_channel_config_validation():
     with pytest.raises(ValueError):
-        ChannelConfig(amplitude=0.0)
-    with pytest.raises(ValueError):
         ChannelConfig(noise_sigma=-1.0)
+    assert ChannelConfig(noise_sigma=0.0, rng_seed=4) == ChannelConfig(0.0, 4)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,27 @@ def test_non_finite_grid_diagnosed(capsys, grid):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan", "0.5,-0.1", "inf"])
+def test_bad_sigma_grid_diagnosed(capsys, sigma):
+    code, out, err = run_cli(capsys, "ber", "--level", "2", "--sigma", sigma,
+                             "--trials", "50")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "sigma" in err or "finite" in err
+
+
+@pytest.mark.parametrize("mode", ["analytic", "empirical", "both"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_complexity_samples_below_one_diagnosed(capsys, mode, samples):
+    code, out, err = run_cli(capsys, "complexity", "--level", "2", "--mode", mode,
+                             "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "--samples" in err
+
+
 @pytest.mark.parametrize("decoder", ["fda", "ml"])
 @pytest.mark.parametrize("chips", ["inf,1,1,0", "nan,1,1,0"])
 def test_decode_non_finite_chips_diagnosed(capsys, chips, decoder):
@@ -137,3 +159,21 @@ def test_decode_non_finite_chips_diagnosed(capsys, chips, decoder):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "finite" in err
+
+
+PINNED = Path(__file__).parent / "data" / "pinned"
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("ber --level 2 --snr 0:4:12 --trials 600 --seed 3 --decoders fda,ml",
+     "ber_l2_snr0-4-12_t600_s3.csv"),
+    ("ber --level 3 --snr 4:4:12 --trials 128 --seed 0 --decoders fda,ml",
+     "ber_l3_snr4-4-12_t128_s0.csv"),
+    ("ber --level 3 --sigma 0.5,1.5 --amplitude 2.5 --trials 300 --seed 7 --format json",
+     "ber_l3_sigma_amp2.5_t300_s7.json"),
+])
+def test_fixed_seed_output_is_pinned(capsys, argv, name):
+    # fixed-seed sweeps must reproduce the frozen output byte for byte
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert out == (PINNED / name).read_text(encoding="utf-8")

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udcdma.codebook import (
-    TernaryCodebook,
     UdBoundError,
     build_codebook,
     codebook_to_json,
     matrix_to_csv,
     max_ud_columns,
-    strip_first_row,
     verify_ud,
 )
 
@@ -65,7 +63,7 @@ def test_block_structure(level):
     # unit middle column
     assert m[0, k_prev] == 1
     assert (m[1:, k_prev] == 0).all()
-    core = strip_first_row(prev)
+    core = prev.entries[1:]
     h = core.shape[0]
     assert (m[2:2 + h, :k_prev] == core).all()
     assert (m[2 + h:, :k_prev] == 0).all()
@@ -86,17 +84,6 @@ def test_level_bounds():
         build_codebook(99)
     with pytest.raises(TypeError):
         build_codebook(2.0)
-
-
-def test_strip_first_row():
-    c1 = build_codebook(1)
-    assert strip_first_row(c1).tolist() == [[1, 0, -1]]
-    c2 = build_codebook(2)
-    assert strip_first_row(c2).tolist() == LEVEL2[1:]
-    twice = strip_first_row(TernaryCodebook(1, strip_first_row(c2)))
-    assert twice.tolist() == LEVEL2[2:]
-    with pytest.raises(ValueError):
-        strip_first_row(TernaryCodebook(1, np.array([[1, 0, -1]], dtype=np.int8)))
 
 
 def test_verify_ud_level2():

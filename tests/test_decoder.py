@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from udcdma.channel import spread, spread_many
+from udcdma.channel import spread_many
 from udcdma.codebook import build_codebook
 from udcdma.decoder import (
     MlDecoder,
@@ -19,8 +20,6 @@ from udcdma.decoder import (
     fda_decode,
     fda_decode_batch,
     fda_decode_batch8,
-    ml_decode,
-    quantize,
 )
 
 C2 = build_codebook(2)
@@ -32,7 +31,9 @@ GOLDEN = Path(__file__).parent / "data" / "fda_golden.npz"
 
 
 def brute_nearest(y, lo, hi, step):
-    """Oracle: scan the grid for the closest point, ties to the lower one."""
+    """Oracle: scan the grid for the closest point, ties to the lower one,
+    with distances in exact rationals."""
+    y = Fraction(y)
     pts = list(range(lo, hi + 1, step))
     best = pts[0]
     for p in pts[1:]:
@@ -41,26 +42,39 @@ def brute_nearest(y, lo, hi, step):
     return best
 
 
+def q_one(y: float, lo: int, hi: int, step: int = 2):
+    """(z, zeta, comparisons) of ``_q_grid`` for one statistic."""
+    z, zeta, comps = _q_grid(np.array([float(y)]), lo, hi, step)
+    return int(z[0]), int(zeta[0]), int(comps[0])
+
+
 def test_quantize_top_saturation():
-    q = quantize(7.8, -8, 8, 2)
-    assert (q.z, q.zeta, q.comparisons) == (8, 1, 1)
+    assert q_one(7.8, -8, 8, 2) == (8, 1, 1)
 
 
 def test_quantize_bottom_clamp():
-    q = quantize(-9.3, -8, 8, 2)
-    assert q.z == -8
-    assert q.comparisons == 1
+    z, _, comps = q_one(-9.3, -8, 8, 2)
+    assert z == -8
+    assert comps == 1
 
 
 def test_quantize_interior():
-    q = quantize(0.4, -8, 8, 2)
-    assert (q.z, q.zeta, q.comparisons) == (0, 5, 5)
+    assert q_one(0.4, -8, 8, 2) == (0, 5, 5)
 
 
 def test_quantize_ties_go_low():
-    assert quantize(1.0, -2, 2, 2).z == 0
-    assert quantize(-1.0, -2, 2, 2).z == -2
-    assert quantize(0.5, 0, 1, 1).z == 0
+    assert q_one(1.0, -2, 2, 2)[0] == 0
+    assert q_one(-1.0, -2, 2, 2)[0] == -2
+    assert q_one(0.5, 0, 1, 1)[0] == 0
+    assert q_one(0.0, -1, 1, 2)[0] == -1
+    # one ulp past a midpoint, where (y - lo) / step rounds onto the tie,
+    # the nearer point wins
+    assert q_one(1e-20, -1, 1, 2)[0] == 1
+    assert q_one(1e-300, -17, 17, 2)[0] == 1
+    assert q_one(1.0000000000000002, -2, 2, 2)[0] == 2
+    assert q_one(np.nextafter(-1.0, 0.0), -2, 2, 2)[0] == 0
+    assert q_one(np.nextafter(0.5, 0.0), 0, 1, 1)[0] == 0
+    assert q_one(-1e-300, -1, 1, 2)[0] == -1
 
 
 @settings(max_examples=200, deadline=None)
@@ -73,53 +87,46 @@ def test_quantize_ties_go_low():
 def test_quantize_matches_nearest_oracle(y, lo, hi, step):
     if (hi - lo) % step:
         hi += 1
-    q = quantize(y, lo, hi, step)
-    assert q.z == brute_nearest(y, lo, hi, step)
+    z, zeta, comps = q_one(y, lo, hi, step)
+    assert z == brute_nearest(y, lo, hi, step)
     m = (hi - lo) // step + 1
-    assert 1 <= q.zeta <= m
-    assert q.z == hi - step * (q.zeta - 1)
-    assert q.comparisons >= 1
-    assert q.comparisons == max(1, min(q.zeta, m + 1 - q.zeta))
-
-
-def test_quantize_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        quantize(0.0, 2, -2, 2)
-    with pytest.raises(ValueError):
-        quantize(0.0, -2, 1, 2)
-    with pytest.raises(ValueError):
-        quantize(0.0, 0, 3, 4)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            quantize(bad, -8, 8, 2)
+    assert 1 <= zeta <= m
+    assert z == hi - step * (zeta - 1)
+    assert comps >= 1
+    assert comps == max(1, min(zeta, m + 1 - zeta))
 
 
 def _q_reference(y: float, lo: int, hi: int, step: int):
-    """The per-value quantizer in Python integers, which cannot overflow."""
+    """The per-value quantizer in exact rationals, which neither round nor overflow."""
     m = (hi - lo) // step + 1
-    i_lo = min(max(math.ceil((y - lo) / step - 0.5), 0), m - 1)
+    i_lo = min(max(math.ceil((Fraction(y) - lo) / step - Fraction(1, 2)), 0), m - 1)
     zeta = m - i_lo
     return lo + step * i_lo, zeta, min(zeta, m + 1 - zeta)
 
 
+_NEAR_TIES = st.integers(-90, 90).flatmap(lambda k: st.sampled_from(
+    [k / 2, float(np.nextafter(k / 2, np.inf)), float(np.nextafter(k / 2, -np.inf))]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+    st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _NEAR_TIES,
+                       st.floats(-1e-15, 1e-15)), min_size=1, max_size=8),
     st.integers(-40, 0),
     st.integers(0, 40),
     st.sampled_from([1, 2]),
 )
 def test_quantize_saturates_on_every_finite_float(ys, lo, hi, step):
-    # one grid, a block of arbitrary finite statistics (1e300 included): the
-    # array quantizer, the scalar one and the integer reference all agree
+    # one grid, a block of arbitrary finite statistics (1e300 included, and
+    # floats one ulp either side of a midpoint): the array quantizer, its
+    # one-value form and the exact reference all agree
     if (hi - lo) % step:
         hi += 1
     z, zeta, comps = _q_grid(np.array(ys), lo, hi, step)
     for i, y in enumerate(ys):
         ref = _q_reference(y, lo, hi, step)
         assert (int(z[i]), int(zeta[i]), int(comps[i])) == ref
-        q = quantize(y, lo, hi, step)
-        assert (q.z, q.zeta, q.comparisons) == ref
+        assert q_one(y, lo, hi, step) == ref
 
 
 def test_first_quantize_cost_law():
@@ -127,8 +134,7 @@ def test_first_quantize_cost_law():
     # and the mirrored words pay the same by the two-sided search
     for j in range(0, 9):
         y1 = 8 - 2 * j
-        q = quantize(y1, -8, 8, 2)
-        assert q.comparisons == min(j, 8 - j) + 1
+        assert q_one(y1, -8, 8, 2)[2] == min(j, 8 - j) + 1
 
 
 def _half_up(numer: int, denom: int = 5) -> int:
@@ -166,14 +172,14 @@ def test_sub_decode8_saturated_counts():
 def test_right_decode_single_negative_at_slot6():
     # left side saturated at zero, right side decoded by one third-chip test
     x = np.array([1, 1, 1, 1, 1, -1, 1, 1])
-    out = fda_decode(C2, spread(C2, x))
+    out = fda_decode(C2, spread_many(C2, x[None, :])[0])
     assert np.array_equal(out.word, x)
     assert out.comparisons == 2 + 1 + 1   # first, split, right-side quantize
 
 
 def test_lr_decode_first_candidate_beats_sentinel():
     x = np.array([1, -1, 1, 1, 1, -1, 1, 1])   # one -1 each side: the offset scan
-    out = fda_decode(C2, spread(C2, x))
+    out = fda_decode(C2, spread_many(C2, x[None, :])[0])
     assert np.array_equal(out.word, x)
     assert out.comparisons >= 3
 
@@ -198,7 +204,7 @@ def test_fda_level2_exhaustive_roundtrip():
 
 def test_fda_amplitude_normalization():
     x = WORDS8[173]
-    y = spread(C2, x, amplitude=2.5)
+    y = spread_many(C2, x[None, :], amplitude=2.5)[0]
     out = fda_decode(C2, y, amplitude=2.5)
     assert np.array_equal(out.word, x)
 
@@ -368,7 +374,7 @@ def test_ml_tie_breaks_to_lexicographically_smallest():
     # equidistant between the spreads of two words: the all -1 word is the
     # lexicographically smallest hypothesis and must win
     y = (CHIPS8[0] + CHIPS8[1]) / 2.0
-    out = ml_decode(C2, y)
+    out = MlDecoder(C2).decode(y)
     d0 = ((y - CHIPS8[0]) ** 2).sum()
     d1 = ((y - CHIPS8[1]) ** 2).sum()
     assert d0 == d1
@@ -452,8 +458,7 @@ def test_ml_residual_never_above_truth_or_fda(level):
 
 def test_constellation_points_descending():
     # zeta ranks the grid {hi, hi-step, ..., lo} from the high end
-    points = [quantize(v, -8, 8, 2) for v in range(8, -9, -2)]
-    assert [q.z for q in points] == [8, 6, 4, 2, 0, -2, -4, -6, -8]
-    assert [q.zeta for q in points] == list(range(1, 10))
-    q = quantize(5.0, 0, 0, 1)
-    assert (q.z, q.zeta, q.comparisons) == (0, 1, 1)
+    z, zeta, _ = _q_grid(np.arange(8.0, -9.0, -2.0), -8, 8, 2)
+    assert z.tolist() == [8, 6, 4, 2, 0, -2, -4, -6, -8]
+    assert zeta.tolist() == list(range(1, 10))
+    assert q_one(5.0, 0, 0, 1) == (0, 1, 1)

@@ -40,6 +40,19 @@ def test_config_validation():
         SimConfig(level=2, trials_per_point=10, rng_seed=1, snr_convention="ebn0")
 
 
+@pytest.mark.parametrize("grid", [
+    dict(snr_db_grid=(1.0, math.nan)),
+    dict(snr_db_grid=(math.inf,)),
+    dict(sigma_grid=(0.5, math.nan), snr_convention="raw_sigma"),
+    dict(sigma_grid=(math.inf,), snr_convention="raw_sigma"),
+    dict(sigma_grid=(0.5, -1.0), snr_convention="raw_sigma"),
+    dict(sigma_grid=(-1e-300,), snr_convention="raw_sigma"),
+])
+def test_bad_grid_values_rejected(grid):
+    with pytest.raises(ValueError, match="finite|>= 0"):
+        SimConfig(level=2, trials_per_point=10, rng_seed=1, **grid)
+
+
 def test_ml_bound_checked_before_work():
     cfg = SimConfig(level=6, trials_per_point=10, rng_seed=1, snr_db_grid=(5.0,),
                     decoders=("fda", "ml"))
@@ -156,13 +169,3 @@ def test_ber_monotone_in_snr():
         low, high = by[(5.0, dec)], by[(8.0, dec)]
         assert low.bit_errors >= 100 and high.bit_errors >= 100
         assert high.ber <= low.ber
-
-
-def test_workers_env_override(monkeypatch):
-    from udcdma.harness import WORKERS_ENV, _resolve_workers
-
-    cfg = small_cfg(workers=1)
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _resolve_workers(cfg) == 3
-    monkeypatch.delenv(WORKERS_ENV)
-    assert _resolve_workers(cfg) == 1
