@@ -9,6 +9,7 @@ first rows of the full block.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class ChannelConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
 
 
 def spread_many(c: TernaryCodebook, words: np.ndarray, amplitude: float = 1.0) -> np.ndarray:

@@ -45,6 +45,8 @@ class SimConfig:
         for d in self.decoders:
             if d not in ("fda", "ml"):
                 raise ValueError(f"unknown decoder {d!r}")
+        if len(set(self.decoders)) != len(self.decoders):
+            raise ValueError(f"decoders must be distinct, got {self.decoders}")
         if self.snr_convention not in ("ebn0", "raw_sigma"):
             raise ValueError("snr_convention must be 'ebn0' or 'raw_sigma'")
         if self.snr_convention == "ebn0" and not self.snr_db_grid:

@@ -139,3 +139,9 @@ def test_channel_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(noise_sigma=-1.0)
     assert ChannelConfig(noise_sigma=0.0, rng_seed=4) == ChannelConfig(0.0, 4)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_channel_config_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        ChannelConfig(noise_sigma=sigma)

@@ -139,6 +139,16 @@ def test_bad_sigma_grid_diagnosed(capsys, sigma):
     assert "sigma" in err or "finite" in err
 
 
+def test_duplicate_decoders_diagnosed(capsys):
+    # a repeated decoder would count its errors and comparisons twice
+    code, out, err = run_cli(capsys, "ber", "--level", "2", "--sigma", "0.5",
+                             "--trials", "100", "--decoders", "fda,fda")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "distinct" in err
+
+
 @pytest.mark.parametrize("mode", ["analytic", "empirical", "both"])
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_complexity_samples_below_one_diagnosed(capsys, mode, samples):

@@ -1,5 +1,7 @@
+import io
 import math
 from fractions import Fraction
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,17 @@ from hypothesis.extra import numpy as hnp
 
 from udcdma.channel import spread_many
 from udcdma.codebook import build_codebook
+import leaf_oracle
+from leaf_oracle import _D_HI, _D_LO, cell_reps, chip_reps, leaf_rules
+from udcdma import decoder
 from udcdma.decoder import (
+    _LEAF8,
+    _LEAF_CUTS,
     MlDecoder,
-    _D_HI,
-    _D_LO,
     _all_words,
     _decode_block,
+    _leaf_cells,
+    _unit_chips,
     _q_grid,
     fda_decode,
     fda_decode_batch,
@@ -241,7 +248,9 @@ def test_batch_matches_golden_file(level):
     # batch recursion replaced, on seeded inputs: noiseless and at sigma 0.7
     # and 2.0 (sets 0-2), lattice points moved by whole and half units onto
     # the quantizer thresholds (set 3), and noisy chips with some replaced by
-    # 0, +-1e-300, +-0.5, +-3, +-1e18 or +-1e300 (set 4)
+    # 0, +-1e-300, +-0.5, +-3, +-1e18 or +-1e300 (set 4).  Set-4 rows were
+    # refrozen from the exact table leaf, where float rounding had misplaced
+    # tiny and huge chips (test_golden_rows_match_exact_oracle_leaf)
     golden = np.load(GOLDEN)
     c = build_codebook(level)
     words, comps = fda_decode_batch(c, golden[f"chips{level}"])
@@ -462,3 +471,97 @@ def test_constellation_points_descending():
     assert z.tolist() == [8, 6, 4, 2, 0, -2, -4, -6, -8]
     assert zeta.tolist() == list(range(1, 10))
     assert q_one(5.0, 0, 0, 1) == (0, 1, 1)
+
+
+def _same(a, b):
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_leaf_table_regenerates_from_oracle():
+    buf = io.BytesIO()
+    np.save(buf, leaf_oracle.build_table())
+    assert buf.getvalue() == leaf_oracle.TABLE.read_bytes()
+
+
+def test_leaf_table_ships_as_package_data():
+    resource = files("udcdma") / "leaf8.npy"
+    assert resource.is_file()
+    with resource.open("rb") as f:
+        assert np.array_equal(np.load(f), _LEAF8)
+    assert _LEAF8.shape == tuple(len(chip_reps(k)) for k in range(4)) + (2,)
+
+
+def test_leaf_cells_hold_their_representatives():
+    reps = cell_reps()
+    cells = _leaf_cells(reps.reshape(-1, 4))
+    grid = np.indices(reps.shape[:-1]).reshape(4, -1)
+    assert all(np.array_equal(c, g) for c, g in zip(cells, grid))
+
+
+def test_every_leaf_cut_is_needed():
+    # neighbouring cells of any chip differ somewhere, so no cut can go
+    for k in range(4):
+        for i in range(_LEAF8.shape[k] - 1):
+            assert not np.array_equal(np.take(_LEAF8, i, axis=k), np.take(_LEAF8, i + 1, axis=k))
+
+
+_OFF_CUT = st.floats(-20, 20).filter(lambda v: abs(v - round(v)) >= 1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_OFF_CUT, _OFF_CUT, _OFF_CUT, _OFF_CUT), min_size=1, max_size=16))
+def test_leaf_rules_are_constant_on_cells(rows):
+    # the cuts are complete: away from every integer, the rules answer as at
+    # the representative of the chip's cell
+    y = np.array(rows)
+    assert _same(leaf_rules(y), leaf_rules(cell_reps()[_leaf_cells(y)]))
+
+
+def test_leaf_table_matches_rules_on_cuts_noisy_and_lattice_rows():
+    # every combination of cuts and representatives, where float arithmetic
+    # is exact, then seeded noisy rows and a half-integer lattice
+    values = [np.union1d(cuts, chip_reps(k)) for k, cuts in enumerate(_LEAF_CUTS)]
+    on_cuts = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, 4)
+    rng = np.random.default_rng(67)
+    x = WORDS8[rng.integers(0, 256, size=6000)]
+    noisy = spread_many(C2, x) + rng.normal(0, rng.choice([0.3, 0.7, 1.5, 4.0], size=(6000, 1)),
+                                            size=(6000, 4))
+    lattice = rng.integers(-24, 25, size=(6000, 4)) / 2.0
+    for y in (on_cuts, noisy, lattice):
+        assert _same(fda_decode_batch8(y), leaf_rules(y))
+
+
+def test_leaf_table_is_exact_where_rounding_bites():
+    # one chip at a cut's ulp neighbour, a tiny or a huge value; the rules,
+    # evaluated with that chip moved 1e-6 further the same way (a huge chip
+    # to its edge cell's representative), give the exact answer there
+    reps = cell_reps().reshape(-1, 4)
+    base = reps[np.random.default_rng(71).choice(len(reps), 400)]
+    big = np.finfo(np.float64).max
+    for k, cuts in enumerate(_LEAF_CUTS):
+        edges = chip_reps(k)[[0, -1]]
+        cases = [(np.nextafter(t, t + s), t + s * 1e-6) for t in cuts for s in (-1, 1)]
+        cases += [(s * v, s * 1e-6) for v in (5e-324, 1e-300) for s in (-1, 1)]
+        cases += [(s * v, edges[int(s > 0)]) for v in (1e18, 1e300, big) for s in (-1, 1)]
+        for chip, moved in cases:
+            y, ref = base.copy(), base.copy()
+            y[:, k], ref[:, k] = chip, moved
+            assert _same(fda_decode_batch8(y), leaf_rules(ref)), (k, chip)
+
+
+def _exact_leaf(ys, amplitude=1.0):
+    """The rules at chips moved out of float rounding's reach of a cut: a
+    tiny nonzero chip to 1e-6 of its sign, a huge one past the outer cuts."""
+    y = _unit_chips(ys, 4, amplitude)
+    tiny = (y != 0) & (np.abs(y) < 1e-6)
+    return leaf_rules(np.where(tiny, np.copysign(1e-6, y), np.clip(y, -20.0, 20.0)))
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_golden_rows_match_exact_oracle_leaf(level, monkeypatch):
+    golden = np.load(GOLDEN)
+    c = build_codebook(level)
+    monkeypatch.setattr(decoder, "fda_decode_batch8", _exact_leaf)
+    words, comps = fda_decode_batch(c, golden[f"chips{level}"])
+    assert np.array_equal(np.packbits(words < 0, axis=1), golden[f"words{level}"])
+    assert np.array_equal(comps, golden[f"comparisons{level}"])
