@@ -15,8 +15,15 @@ quantizer rules give every point of a cell the same word and comparison
 count.  The package data file ``leaf8.npy`` holds both per cell, evaluated
 once from those rules at each cell's midpoint, a small multiple of 1/2
 where float arithmetic is exact; the rules and the script that writes the
-file live in ``tests/leaf_oracle.py``.  So the leaf's comparison counts are
-the rules' charges, and no chip is rounded on its way to a cell.
+file live in ``tests/leaf_oracle.py``.  The table is read on the first leaf
+decode, not at import.  A chip's cell takes one rounding pass: chips 0-2,
+where a chip on a cut lies in the cell below it, are rounded up, chip 3,
+where it lies in the cell above, is rounded down, and the integer, clipped
+to [-9, 9], indexes a 19-entry table per chip.  The cuts are integers, so
+the cuts below y are those below ceil(y) and the cuts at or below y are
+those at or below floor(y).  Rounding and clipping a float are exact, so
+every finite chip lands in its own cell, and the leaf's comparison counts
+are the rules' charges.
 
 ``MlDecoder`` is the exact minimum-distance reference.  Above level 2 it
 never lists the 2^K hypotheses: it runs min-sum over the recursion tree on
@@ -36,6 +43,7 @@ noiseless round-trip suite):
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib.resources import files
@@ -318,31 +326,56 @@ class MlDecoder:
 # the even integers -6..8 and chip 2 at the even integers -4..4; a chip on
 # one of these cuts lies in the cell below it.  Chip 3 is cut at the
 # integers -3..3, and a chip on a cut lies in the cell above it.  Per cell,
-# _LEAF8 holds the word as an index into _WORDS8 and the comparison count.
+# the package table leaf8.npy holds the word as an index into _WORDS8 and
+# the comparison count.
 _LEAF_CUTS = (np.arange(-7.0, 8.0, 2.0), np.arange(-6.0, 9.0, 2.0),
               np.arange(-4.0, 5.0, 2.0), np.arange(-3.0, 4.0))
 _LEAF_SIDES = ("left", "left", "left", "right")
-with (files(__package__) / "leaf8.npy").open("rb") as _f:
-    _LEAF8 = np.load(_f)
+# Entry r + 9 of row k is the cell of chip k at the integer r; every cut
+# lies in [-9, 9].
+_LEAF_STEPS = np.array([np.searchsorted(cuts, np.arange(-9, 10), side)
+                        for cuts, side in zip(_LEAF_CUTS, _LEAF_SIDES)])
+
+
+@functools.cache
+def _leaf_table() -> np.ndarray:
+    """The read-only package table ``leaf8.npy``, loaded on the first leaf decode."""
+    with (files(__package__) / "leaf8.npy").open("rb") as f:
+        table = np.load(f)
+    table.flags.writeable = False
+    return table
 
 
 def _leaf_cells(y: np.ndarray) -> tuple:
-    """The cell index of each chip of an (N, 4) block, one array per chip."""
-    return tuple(np.searchsorted(cuts, y[:, k], side)
-                 for k, (cuts, side) in enumerate(zip(_LEAF_CUTS, _LEAF_SIDES)))
+    """The cell index of each chip of an (N, 4) block, one array per chip.
+
+    Chips 0-2 are rounded up and chip 3 down; the clip comes before the
+    integer cast, so a huge chip saturates at an edge cell.
+    """
+    y = y.T
+    r = np.empty(y.shape)
+    np.ceil(y[:3], out=r[:3])
+    np.floor(y[3], out=r[3])
+    np.clip(r, -9, 9, out=r)
+    idx = r.astype(np.intp)
+    idx += 9
+    return tuple(steps[i] for steps, i in zip(_LEAF_STEPS, idx))
 
 
 def fda_decode_batch8(ys: np.ndarray, amplitude: float = 1.0):
     """Decode a (trials, 4) block of seed-codebook chip vectors: the 4x8 leaf.
 
-    Each chip falls in one cell of ``_LEAF_CUTS``, found by counting the cuts
-    below it (below or at it, for chip 3), so no chip is rounded on the way.
-    The four cells index one entry of the package table ``leaf8.npy``: the
-    word and the comparisons that the leaf's quantizer rules charge at every
-    point of those cells.  The rules (the first chip gives the -1 count, the
-    second the left/right split, the last two the users within each side)
-    and the script that writes the table live in ``tests/leaf_oracle.py``.
-    Returns (words, comparisons).
+    Each chip falls in one cell of ``_LEAF_CUTS``: the count of cuts below
+    it (at or below it, for chip 3).  The cuts are integers, so that count
+    is the count below the chip's ceiling (at or below its floor, for chip
+    3), and ``_LEAF_STEPS`` holds it per integer in [-9, 9], past every cut.
+    Rounding and clipping a float are exact, so no chip crosses a cut on the
+    way to its cell.  The four cells index one entry of the package table
+    ``leaf8.npy``: the word and the comparisons that the leaf's quantizer
+    rules charge at every point of those cells.  The rules (the first chip
+    gives the -1 count, the second the left/right split, the last two the
+    users within each side) and the script that writes the table live in
+    ``tests/leaf_oracle.py``.  Returns (words, comparisons).
     """
-    cell = _LEAF8[_leaf_cells(_unit_chips(ys, 4, amplitude))]
+    cell = _leaf_table()[_leaf_cells(_unit_chips(ys, 4, amplitude))]
     return _WORDS8.take(cell[:, 0], axis=0), cell[:, 1].astype(np.int64)

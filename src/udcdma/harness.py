@@ -93,8 +93,7 @@ def wilson_interval(errors: int, total: int, z: float = 1.96) -> tuple:
 _STATE: dict = {}
 
 
-def _init_state(level: int, amplitude: float, decoders: Sequence[str]):
-    c = build_codebook(level)
+def _init_state(c: TernaryCodebook, amplitude: float, decoders: Sequence[str]):
     ml = MlDecoder(c, amplitude) if "ml" in decoders else None
     _STATE["codebook"] = c
     _STATE["amplitude"] = amplitude
@@ -147,7 +146,7 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
         min(NOISE_BLOCK, cfg.trials_per_point - b * NOISE_BLOCK) for b in range(n_blocks)
     ]
 
-    _init_state(cfg.level, cfg.amplitude, cfg.decoders)
+    _init_state(c, cfg.amplitude, cfg.decoders)
     pool = multiprocessing.get_context("fork").Pool(cfg.workers) if cfg.workers > 1 else None
 
     results = []

@@ -10,7 +10,8 @@ its midpoint, a small multiple of 1/2 where float arithmetic is exact, and
 ``udcdma.decoder.fda_decode_batch8`` decodes by looking the cell up.
 
 Run ``python tests/leaf_oracle.py`` (with the package importable) to rewrite
-``src/udcdma/leaf8.npy``; the test suite checks the shipped file against it.
+``src/udcdma/leaf8.npy``, also when it is missing: the package reads the file
+only on its first leaf decode.  The test suite checks the shipped file against it.
 """
 from __future__ import annotations
 

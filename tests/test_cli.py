@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from udcdma import cli
 from udcdma.cli import cli_main
 
 
@@ -106,6 +107,36 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli_main(["gen", "--levle", "2"])
     assert exc.value.code == 2
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    code, out, _ = run_cli(capsys, "decode", "--level", "2", "--y", "8,1,1,0",
+                           "--decoder", "ml")
+    assert code == 0 and "comparisons: 256" in out
+    with pytest.raises(SystemExit):
+        cli_main(["gen", "--levle", "2"])
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "decode", "--level", "2", "--y", "8,1,1,0")
+    assert code == 0 and "comparisons: 1\n" in out
+    ber = ["ber", "--level", "2", "--sigma", "0.5", "--trials", "20", "--decoders", "fda"]
+    code, out, _ = run_cli(capsys, *ber, "--format", "json")
+    assert code == 0 and json.loads(out)
+    code, out, _ = run_cli(capsys, *ber)
+    assert code == 0 and out.startswith("snr_db,sigma,decoder")
+
+
+def test_cli_main_builds_the_parser_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run_cli(capsys, "gen", "--level", "1")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert build() is not build()
 
 
 def test_missing_subcommand_exits_2():

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -16,12 +20,13 @@ import leaf_oracle
 from leaf_oracle import _D_HI, _D_LO, cell_reps, chip_reps, leaf_rules
 from udcdma import decoder
 from udcdma.decoder import (
-    _LEAF8,
     _LEAF_CUTS,
+    _LEAF_SIDES,
     MlDecoder,
     _all_words,
     _decode_block,
     _leaf_cells,
+    _leaf_table,
     _unit_chips,
     _q_grid,
     fda_decode,
@@ -483,12 +488,28 @@ def test_leaf_table_regenerates_from_oracle():
     assert buf.getvalue() == leaf_oracle.TABLE.read_bytes()
 
 
+def test_leaf_oracle_rewrites_a_missing_table(tmp_path):
+    # the oracle imports the decoder, which must not need the table to load
+    shutil.copytree(Path(decoder.__file__).parent, tmp_path / "src" / "udcdma",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tests").mkdir()
+    shutil.copy(leaf_oracle.__file__, tmp_path / "tests")
+    table = tmp_path / "src" / "udcdma" / "leaf8.npy"
+    table.unlink()
+    done = subprocess.run([sys.executable, str(tmp_path / "tests" / "leaf_oracle.py")],
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert table.read_bytes() == leaf_oracle.TABLE.read_bytes()
+
+
 def test_leaf_table_ships_as_package_data():
     resource = files("udcdma") / "leaf8.npy"
     assert resource.is_file()
     with resource.open("rb") as f:
-        assert np.array_equal(np.load(f), _LEAF8)
-    assert _LEAF8.shape == tuple(len(chip_reps(k)) for k in range(4)) + (2,)
+        assert np.array_equal(np.load(f), _leaf_table())
+    assert _leaf_table().shape == tuple(len(chip_reps(k)) for k in range(4)) + (2,)
+    assert not _leaf_table().flags.writeable
 
 
 def test_leaf_cells_hold_their_representatives():
@@ -500,9 +521,39 @@ def test_leaf_cells_hold_their_representatives():
 
 def test_every_leaf_cut_is_needed():
     # neighbouring cells of any chip differ somewhere, so no cut can go
+    table = _leaf_table()
     for k in range(4):
-        for i in range(_LEAF8.shape[k] - 1):
-            assert not np.array_equal(np.take(_LEAF8, i, axis=k), np.take(_LEAF8, i + 1, axis=k))
+        for i in range(table.shape[k] - 1):
+            assert not np.array_equal(np.take(table, i, axis=k), np.take(table, i + 1, axis=k))
+
+
+def _searched_cells(y):
+    """The binary search that ``_leaf_cells`` replaces: the oracle for its cells."""
+    return tuple(np.searchsorted(cuts, y[:, k], side)
+                 for k, (cuts, side) in enumerate(zip(_LEAF_CUTS, _LEAF_SIDES)))
+
+
+def _assert_cells_match_search(values):
+    # every value in every chip position, beside other values in the others
+    v = np.asarray(values, dtype=np.float64)
+    y = np.stack([np.roll(v, k) for k in range(4)], axis=1)
+    for got, want in zip(_leaf_cells(y), _searched_cells(y)):
+        assert np.array_equal(got, want)
+
+
+def test_leaf_cells_match_binary_search_at_integers_and_extremes():
+    ints = np.arange(-12.0, 13.0)
+    big = np.finfo(np.float64).max
+    extremes = [s * v for v in (0.0, 5e-324, 1e-300, 1e18, 1e300, big) for s in (-1, 1)]
+    _assert_cells_match_search(np.concatenate((
+        ints, np.nextafter(ints, -np.inf), np.nextafter(ints, np.inf), extremes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_leaf_cells_match_binary_search_on_finite_floats(values):
+    _assert_cells_match_search(values)
 
 
 _OFF_CUT = st.floats(-20, 20).filter(lambda v: abs(v - round(v)) >= 1e-6)
