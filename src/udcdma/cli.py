@@ -14,6 +14,9 @@ from . import complexity as cx
 from .decoder import MlDecoder, fda_decode
 from .harness import SimConfig, curve_to_csv, curve_to_json, emit_results, run_ber_sweep
 
+# A sweep grid is refused past this many points, before any is built.
+MAX_GRID_POINTS = 10_000
+
 
 def _parse_grid(text: str) -> tuple:
     """Parse 'a:step:b' into an inclusive grid of floats."""
@@ -25,7 +28,10 @@ def _parse_grid(text: str) -> tuple:
         raise ValueError(f"grid values must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    count = int(round((b - a) / step)) + 1
+    span = (b - a) / step
+    if not span < MAX_GRID_POINTS - 0.5:    # also refuses a span that overflows to inf
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    count = int(round(span)) + 1
     if count < 1:
         raise ValueError("empty grid")
     return tuple(round(a + i * step, 12) for i in range(count))
@@ -103,7 +109,10 @@ def _cmd_ber(args) -> int:
         )
     points = run_ber_sweep(cfg)
     if args.out:
-        emit_results(points, args.format, args.out, cfg)
+        try:
+            emit_results(points, args.format, args.out, cfg)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         print(f"wrote {len(points)} points to {args.out}")
     else:
         if args.format == "json":

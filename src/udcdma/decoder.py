@@ -28,6 +28,11 @@ are the rules' charges.
 ``MlDecoder`` is the exact minimum-distance reference.  Above level 2 it
 never lists the 2^K hypotheses: it runs min-sum over the recursion tree on
 per-count half residuals, so its cost grows with the square of the user count.
+Each half keeps its least residual per -1 count; the top keeps only the best
+word, one min over the (left count, right count) cells.  A level-2 half has
+no chip for user 4, so it scores the 128 words of the other seven users.
+Level 2 itself is one argmin over its 256 words, in float32 while a chunk's
+chips cannot overflow the product and in float64 past that.
 ``MlDecoder.decode`` decodes one vector as a batch of one.
 
 Quantizer conventions used throughout (all validated exhaustively by the
@@ -176,16 +181,50 @@ def _all_words(users: int) -> np.ndarray:
 # ML decodes levels 2 to ML_MAX_LEVEL.  A level-6 decode would index its
 # 71-user halves, past the 63 bits of an int64.
 ML_MAX_LEVEL = 5
-# Rows per ML chunk: at level 5 the largest temporary is 2048 x 71 x 36
-# float64 cells, 40 MiB.
+# Rows per ML chunk: at level 5 the largest temporaries are the top's
+# 2048 x 36 x 36 float64 cells, 21 MiB, and as many int64 keys when some
+# of those cells tie.
 _ML_ROWS = 2048
 _NO_INDEX = np.iinfo(np.int64).max
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
-# The 256 level-2 words grouped by -1 count n (row n), each group in index
-# order and padded with -1 to the largest group, C(8, 4) = 70 words.
+# The 256 level-2 words and their spreads, in index order.
 _WORDS8 = _all_words(8)
-_GROUPS8 = np.array([np.pad(np.flatnonzero((_WORDS8 < 0).sum(axis=1) == n),
-                            (0, 70 - math.comb(8, n)), constant_values=-1) for n in range(9)])
+_SPREAD8 = _WORDS8 @ build_codebook(2).entries.T.astype(np.int64)
+# User 4's column is zero below the seed's all-ones row, so a level-2 half
+# (rows 1 on) scores only the other seven users.  Their 128 words, each as
+# the 8-bit index with user 4 at -1 (bit 3 clear), grouped by -1 count m
+# (row m), each group in index order and padded with -1 to C(7, 3) = 35.
+_GROUPS7 = np.array([np.pad(np.flatnonzero((_WORDS8[:, 4] < 0) & ((_WORDS8 < 0).sum(axis=1) == m + 1)),
+                            (0, 35 - math.comb(7, m)), constant_values=-1) for m in range(8)])
+
+
+def _split_cells(h: int) -> tuple:
+    """The cells (pair count s = nL + nR, left count nL) of a split with h
+    users per half: h, the index nR - nL + h of each cell's row-1 offset, and
+    its right count, h + 1 (a +inf pad) where nR is out of range."""
+    nl = np.arange(h + 1)[None, :]
+    nr = np.arange(2 * h + 1)[:, None] - nl
+    return h, np.clip(nr - nl + h, 0, 2 * h), np.where((nr >= 0) & (nr <= h), nr, h + 1)
+
+
+# A level-j split has the level-(j-1) user count 2^j + 2^(j-3) - 1 per half.
+_SPLIT_CELLS = {j: _split_cells(2 ** j + 2 ** (j - 3) - 1) for j in range(3, ML_MAX_LEVEL + 1)}
+
+
+def _either(low: np.ndarray, key_clear: np.ndarray, key_set: np.ndarray):
+    """Per -1 count n, the better of count n - 1 with one more user at -1 (a
+    clear bit) and count n with it at +1 (a set bit).
+
+    ``low`` holds (N, c) least scores per count, the keys the indices that
+    settle a tie; the smaller key wins, and equal keys go to the clear bit.
+    Returns the (N, c + 1) least scores and whether each sets the bit.
+    """
+    inf = np.full((len(low), 1), np.inf)
+    none = np.full((len(low), 1), _NO_INDEX)
+    below, above = np.hstack((inf, low)), np.hstack((low, inf))
+    up = (above < below) | ((above == below) & (np.hstack((key_set, none)) < np.hstack((none, key_clear))))
+    return np.where(up, above, below), up
 
 
 class MlDecoder:
@@ -195,15 +234,20 @@ class MlDecoder:
     sR the sums of the halves and m the middle user, so the squared residual
     splits by row block.  A half's sum is fixed by its -1 count, so each
     half needs only its least residual per count, and those follow by the
-    same split one level down; the leaf is the level-2 table grouped by
-    count (min-sum on the recursion tree: Kschischang, Frey and Loeliger,
-    IEEE Trans. IT 2001).  A residual is scored as ``|t|^2 - 2 y.t``, the
-    squared distance less ``|y|^2``, so large chips keep their differences.
-    Ties go to the lexicographically smallest word, as a sweep over all 2^K
-    words in index order would give.  Level 2 is a single float32 argmin
-    over its 256 words; above it scores are float64, from the chips cast
-    once to float32.  ``comparisons`` is 2^K, the hypothesis count of the
-    brute-force ML the paper prices.
+    same split one level down, as least residuals per count of the whole
+    half (min-sum on the recursion tree: Kschischang, Frey and Loeliger,
+    IEEE Trans. IT 2001).  The top needs only the best word, so it scores
+    each pair of half counts (nL, nR) once, with the better middle user for
+    the all-ones row.  The leaf is the level-2 half: user 4 has no chip
+    there, so its table holds the 128 words of the other seven users by
+    count, and user 4 moves a word to the next count.  A residual is scored
+    as ``|t|^2 - 2 y.t``, the squared distance less ``|y|^2``, so large
+    chips keep their differences.  Ties go to the lexicographically
+    smallest word, as a sweep over all 2^K words in index order would give.
+    Level 2 is a single argmin over its 256 words, in float32 unless the
+    chunk's chips are large enough to overflow it; above level 2 scores are
+    float64, from the chips cast once to float32.  ``comparisons`` is 2^K,
+    the hypothesis count of the brute-force ML the paper prices.
     """
 
     def __init__(self, c: TernaryCodebook, amplitude: float = 1.0):
@@ -214,28 +258,25 @@ class MlDecoder:
         self.level, self.rows, self.users = c.level, c.rows, c.cols
         self.amplitude = amplitude
         self.comparisons = 1 << c.cols
-        seed = build_codebook(2).entries.astype(np.int64)
         if c.level == 2:
-            self._table = (amplitude * (_WORDS8 @ seed.T)).astype(np.float32)
-            self._norms = (self._table.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
+            table = amplitude * _SPREAD8
+            self._table64, self._norms64 = table, (table ** 2).sum(axis=1)
+            with np.errstate(over="ignore"):    # a float32 overflow only sends chunks to float64
+                self._table = table.astype(np.float32)
+                self._norms = (self._table.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
+            # a chunk scores in float32 while 2 |y.t| <= 2 max|y| max|t|_1 and
+            # |t|^2 each stay within a quarter of its range, else in float64
+            fits = self._norms.max() <= _FLOAT32_MAX / 4
+            self._f32_chips = _FLOAT32_MAX / (8 * np.abs(table).sum(axis=1).max()) if fits else -1.0
             return
         # leaf scores |t|^2 - 2 y.t = y @ (-2 t) + |t|^2, grouped by count;
         # a pad scores +inf
-        leaf = amplitude * (_WORDS8 @ seed[1:].T)
-        self._leaf = np.vstack((-2.0 * leaf, np.zeros((1, 3))))[_GROUPS8].reshape(-1, 3).T
-        self._leaf_norms = np.append((leaf ** 2).sum(axis=1), np.inf)[_GROUPS8].ravel()
-        # per level j >= 3, with h users per half: the cells (pair count
-        # s = nL + nR, left count nL) of a split, and the chip offsets of its
-        # row sL - sR = 2 (nR - nL)
-        self._cells = {}
-        h = 8
-        for j in range(3, c.level + 1):
-            nl = np.arange(h + 1)[None, :]
-            nr = np.arange(2 * h + 1)[:, None] - nl
-            on = (nr >= 0) & (nr <= h)
-            self._cells[j] = (h, amplitude * 2.0 * np.arange(-h, h + 1),
-                              np.clip(nr - nl + h, 0, 2 * h), np.where(on, nr, h + 1))
-            h = 2 * h + 1
+        leaf = amplitude * _SPREAD8[:, 1:]
+        self._leaf = np.vstack((-2.0 * leaf, np.zeros((1, 3))))[_GROUPS7].reshape(-1, 3).T
+        self._leaf_norms = np.append((leaf ** 2).sum(axis=1), np.inf)[_GROUPS7].ravel()
+        # per level j >= 3, the chip offsets of a split's row sL - sR = 2 (nR - nL)
+        self._offsets = {j: amplitude * 2.0 * np.arange(-h, h + 1)
+                         for j, (h, _, _) in _SPLIT_CELLS.items() if j <= c.level}
 
     def decode(self, y) -> DecodeOutcome:
         """Decode one chip vector as a batch of one."""
@@ -253,29 +294,62 @@ class MlDecoder:
         out = np.empty((ys.shape[0], self.users), dtype=np.int8)
         for lo in range(0, ys.shape[0], _ML_ROWS):
             block = ys[lo:lo + _ML_ROWS]
-            if self.level == 2:
-                scores = block @ self._table.T
-                scores *= -2.0
-                scores += self._norms
-                out[lo:lo + len(block)] = _WORDS8[np.argmin(scores, axis=1)]
-            else:
+            if self.level > 2:
                 out[lo:lo + len(block)] = self._decode_top(block.astype(np.float64))
+                continue
+            if np.abs(block).max() <= self._f32_chips:    # noise-sized chips
+                scores = block @ self._table.T
+                norms = self._norms
+            else:
+                scores = block.astype(np.float64) @ self._table64.T
+                norms = self._norms64
+            scores *= -2.0
+            scores += norms
+            out[lo:lo + len(block)] = _WORDS8[np.argmin(scores, axis=1)]
         return out
 
     def _decode_top(self, y: np.ndarray) -> np.ndarray:
-        """Full chips: add the all-ones row, whose sum fixes the total count n."""
-        h = self._cells[self.level][0]
-        rest, left, mid, right = self._split(y[:, 1:], self.level)
+        """Full chips: the best word over the cells (nL, nR) of the top split.
+
+        A cell scores the halves' least residuals at counts nL and nR, the
+        row sL - sR and, of the two middle users, the one that scores lower
+        on the all-ones row at total count n = nL + nR + (middle at -1); an
+        exact tie there goes to -1.  Tied cells narrow to the least left
+        index, then the least middle bit and right index.
+        """
+        h, n = (self.users - 1) // 2, len(y)
+        low_l, idx_l, low_r, idx_r = self._halves(y[:, 1:], self.level)
         t = self.amplitude * (self.users - 2.0 * np.arange(self.users + 1))
-        total = t * (t - 2.0 * y[:, :1]) + rest
-        tied = total == total.min(axis=1, keepdims=True)
-        for key in (left, mid, right):      # the smallest word: left half first
-            key = np.where(tied, key, _NO_INDEX)
-            tied &= key == key.min(axis=1, keepdims=True)
-        best = np.argmax(tied, axis=1)[:, None]
-        pick = lambda a: np.take_along_axis(a, best, axis=1)[:, 0]
-        return np.hstack((_index_words(pick(left), h), 2 * pick(mid)[:, None] - 1,
-                          _index_words(pick(right), h))).astype(np.int8)
+        ones = t * (t - 2.0 * y[:, :1])                 # all-ones row per count n
+        up = ones[:, :-1] < ones[:, 1:]                 # pair count s: middle +1 (n = s)
+        ones = np.minimum(ones[:, :-1], ones[:, 1:])    # or middle -1 (n = s + 1)
+        d = self._offsets[self.level]
+        window = np.lib.stride_tricks.sliding_window_view
+        # cell (nL, nR) reads row 1 at nR - nL + h and the all-ones row at s = nL + nR
+        cell = window(d * (d - 2.0 * y[:, 1:2]), h + 1, axis=1)[:, ::-1] + low_l[:, :, None]
+        cell += low_r[:, None, :]
+        cell += window(ones, h + 1, axis=1)
+        cell = cell.reshape(n, -1)
+        tied = cell == cell.min(axis=1, keepdims=True)
+        if np.count_nonzero(tied) > n:      # some row has tied cells
+            right = (window(up, h + 1, axis=1).astype(np.int64) << h) | idx_r[:, None, :]
+            for key in (np.repeat(idx_l, h + 1, axis=1), right.reshape(n, -1)):
+                key = np.where(tied, key, _NO_INDEX)
+                tied &= key == key.min(axis=1, keepdims=True)
+        pos = np.argmax(tied, axis=1)
+        rows, n_l, n_r = np.arange(n), pos // (h + 1), pos % (h + 1)
+        return np.hstack((_index_words(idx_l[rows, n_l], h), 2 * up[rows, n_l + n_r, None] - 1,
+                          _index_words(idx_r[rows, n_r], h))).astype(np.int8)
+
+    def _halves(self, y: np.ndarray, level: int) -> tuple:
+        """``_half`` of the left and the right half of a level-``level``
+        split's chips (rows 1 on): (low_l, idx_l, low_r, idx_r)."""
+        cut = (y.shape[1] + 1) // 2
+        if level > 3:
+            return (*self._half(y[:, 1:cut], level - 1), *self._half(y[:, cut:], level - 1))
+        # leaf halves are small: score both in one product
+        low, first = self._half(np.vstack((y[:, 1:cut], y[:, cut:])), 2)
+        return low[:len(y)], first[:len(y)], low[len(y):], first[len(y):]
 
     def _half(self, y: np.ndarray, level: int):
         """Least residual of a half-word's chips (its level's rows 1 on) per -1
@@ -283,10 +357,15 @@ class MlDecoder:
         if level == 2:
             r = y @ self._leaf
             r += self._leaf_norms
-            r = r.reshape(len(y), 9, 70)
+            r = r.reshape(len(y), 8, 35)
             pos = np.argmin(r, axis=2)
-            return np.take_along_axis(r, pos[:, :, None], axis=2)[:, :, 0], _GROUPS8[np.arange(9), pos]
-        h = self._cells[level][0]
+            low = np.take_along_axis(r, pos[:, :, None], axis=2)[:, :, 0]
+            first = _GROUPS7[np.arange(8), pos]
+            # user 4 at -1 adds one to the seven users' count; at +1 it sets bit 3
+            low, up = _either(low, first, first | 8)
+            none = np.full((len(y), 1), _NO_INDEX)
+            return low, np.where(up, np.hstack((first | 8, none)), np.hstack((none, first)))
+        h = _SPLIT_CELLS[level][0]
         low, left, mid, right = self._split(y, level)
         return low, (left << (h + 1)) | (mid << h) | right
 
@@ -296,28 +375,26 @@ class MlDecoder:
         Returns the least residual and, for its smallest minimiser, the left
         half's index, the middle bit (1 for +1) and the right half's index.
         """
-        h, offsets, at_diff, at_right = self._cells[level]
-        cut = (y.shape[1] + 1) // 2
-        low_l, idx_l = self._half(y[:, 1:cut], level - 1)
-        low_r, idx_r = self._half(y[:, cut:], level - 1)
+        h, at_diff, at_right = _SPLIT_CELLS[level]
+        offsets = self._offsets[level]
+        low_l, idx_l, low_r, idx_r = self._halves(y, level)
         row = offsets * (offsets - 2.0 * y[:, :1])
         cell = row[:, at_diff]
         cell += low_l[:, None, :]
         cell += np.hstack((low_r, np.full((len(y), 1), np.inf)))[:, at_right]
         pair = cell.min(axis=2)
-        key = np.where(cell == pair[:, :, None], idx_l[:, None, :], _NO_INDEX)
-        nl = np.argmin(key, axis=2)                         # tied nL: least left index
+        tied = cell == pair[:, :, None]
+        if np.count_nonzero(tied) > pair.size:              # tied nL: least left index
+            nl = np.argmin(np.where(tied, idx_l[:, None, :], _NO_INDEX), axis=2)
+        else:
+            nl = np.argmax(tied, axis=2)
         first = np.take_along_axis(idx_l, nl, axis=1)
         # count n takes s = n - 1 with middle -1, or s = n with middle +1
-        inf = np.full((len(y), 1), np.inf)
-        none = np.full((len(y), 1), _NO_INDEX)
-        below, above = np.hstack((inf, pair)), np.hstack((pair, inf))
-        first_b, first_a = np.hstack((none, first)), np.hstack((first, none))
-        mid = (above < below) | ((above == below) & (first_a < first_b))
+        low, mid = _either(pair, first, first)
         s = np.arange(2 * h + 2) - 1 + mid
         nl = np.take_along_axis(nl, s, axis=1)
         nr = np.clip(s - nl, 0, h)          # off the cells only if every residual overflows
-        return (np.where(mid, above, below), np.take_along_axis(idx_l, nl, axis=1),
+        return (low, np.take_along_axis(idx_l, nl, axis=1),
                 mid.astype(np.int64), np.take_along_axis(idx_r, nr, axis=1))
 
 

@@ -10,8 +10,11 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .channel import (NOISE_BLOCK, ChannelConfig, ebn0_to_sigma, noise_block, random_words,
                       spread_many)
@@ -20,6 +23,7 @@ from .decoder import ML_MAX_LEVEL, MlDecoder, fda_decode_batch
 
 _ROLE_DATA = 0
 _ROLE_NOISE = 1
+MAX_WORKERS_PER_CPU = 4
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,12 @@ class SimConfig:
             raise ValueError("ebn0 convention needs snr_db_grid")
         if self.snr_convention == "raw_sigma" and not self.sigma_grid:
             raise ValueError("raw_sigma convention needs sigma_grid")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        # each worker is a forked process: past a few per CPU they only
+        # crowd the machine, and a huge count would exhaust process ids
+        most = MAX_WORKERS_PER_CPU * (os.cpu_count() or 1)
+        if not 1 <= self.workers <= most:
+            raise ValueError(f"workers must be between 1 and {most} "
+                             f"({MAX_WORKERS_PER_CPU} per CPU), got {self.workers}")
         grid = (*(self.snr_db_grid or ()), *(self.sigma_grid or ()))
         if not all(math.isfinite(v) for v in grid):
             raise ValueError(f"grid values must be finite, got {grid}")
@@ -112,6 +120,9 @@ def _run_block(args) -> dict:
     if sigma > 0.0:
         chips = chips + noise_block(ChannelConfig(noise_sigma=sigma, rng_seed=seed),
                                     2 * point_idx + _ROLE_NOISE, block, c.rows, trials)
+    # a word viewed as one K-byte value compares whole, with no reduction
+    # over the short user axis
+    row = np.dtype((np.void, c.cols))
     out = {}
     for dec in _STATE["decoders"]:
         if dec == "fda":
@@ -120,8 +131,8 @@ def _run_block(args) -> dict:
         else:
             decoded = _STATE["ml"].decode_batch(chips)
             total_comps = trials * _STATE["ml"].comparisons
-        wrong = decoded != words
-        out[dec] = (int(wrong.sum()), int(wrong.any(axis=1).sum()), total_comps)
+        out[dec] = (int(np.count_nonzero(decoded != words)),
+                    int(np.count_nonzero(decoded.view(row) != words.view(row))), total_comps)
     return out
 
 

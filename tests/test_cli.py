@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from udcdma import cli
+from udcdma import cli, harness
 from udcdma.cli import cli_main
 
 
@@ -158,6 +158,45 @@ def test_non_finite_grid_diagnosed(capsys, grid):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "finite" in err
+
+
+def test_grid_past_the_cap_refused():
+    # checked before any point is built, so a tiny step cannot run away
+    with pytest.raises(ValueError, match="more than 10000 points"):
+        cli._parse_grid("0:1e-5:1")
+    assert len(cli._parse_grid("0:1e-4:0.9999")) == 10_000
+
+
+def test_grid_span_past_the_float_range_diagnosed(capsys):
+    code, out, err = run_cli(capsys, "ber", "--level", "2", "--snr=-1.7e308:1:1.7e308",
+                             "--trials", "10")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_unwritable_out_diagnosed(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "ber", "--level", "2", "--snr", "0:1:2", "--trials", "10",
+                             "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert str(target) in err
+    assert not target.exists()
+
+
+def test_huge_worker_count_diagnosed(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
+    code, out, err = run_cli(capsys, "ber", "--level", "2", "--snr", "0:1:2", "--trials", "10",
+                             "--workers", "100000")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "workers" in err
 
 
 @pytest.mark.parametrize("sigma", ["-1", "nan", "0.5,-0.1", "inf"])

@@ -25,6 +25,7 @@ from udcdma.decoder import (
     MlDecoder,
     _all_words,
     _decode_block,
+    _index_words,
     _leaf_cells,
     _leaf_table,
     _unit_chips,
@@ -415,7 +416,7 @@ def _ml_inputs(c, kind, rng):
     if kind == "lattice":       # integer and half-integer chips: many exact ties
         return rng.integers(-2 * c.cols, 2 * c.cols + 1, size=(1200, c.rows)) / 2.0
     if kind == "large":         # finite float32 chips up to the float32 range
-        scale = np.array([1e4, 1e12, 1e30, 1e36] + ([3e38] if c.level > 2 else []))
+        scale = np.array([1e4, 1e12, 1e30, 1e36, 3e38])
         size = (len(scale), 120, c.rows)
         return (rng.uniform(-1, 1, size=size) * scale[:, None, None]).reshape(-1, c.rows)
     x = 2 * rng.integers(0, 2, size=(2100, c.cols)) - 1     # crosses a 2048-row chunk
@@ -426,7 +427,6 @@ def _ml_inputs(c, kind, rng):
 @pytest.mark.parametrize("kind", ["noisy", "lattice", "large"])
 @pytest.mark.parametrize("level", [2, 3])
 def test_ml_matches_brute_force_oracle(level, kind):
-    # level-2 float32 products overflow past about 2e37, so its large chips stop at 1e36
     c = build_codebook(level)
     ys = _ml_inputs(c, kind, np.random.default_rng(53 + level))
     assert np.array_equal(MlDecoder(c).decode_batch(ys), ml_oracle(c, ys))
@@ -436,19 +436,50 @@ def test_ml_matches_brute_force_oracle(level, kind):
 
 
 def test_ml_half_tables_match_brute_force():
-    # a level-3 half (rows 1 on): per -1 count, the least score and the first
-    # word reaching it, on half-integer chips where exact ties are common
-    words = _all_words(17)
-    t = spread_many(C3, words)[:, 1:]
-    norms = (t ** 2).sum(axis=1)
-    groups = [np.flatnonzero((words < 0).sum(axis=1) == n) for n in range(18)]
-    ys = np.random.default_rng(61).integers(-6, 7, size=(256, 7)) / 2.0
-    low, first = MlDecoder(C3)._half(ys, 3)
-    for lo in range(0, len(ys), 32):
-        scores = norms - 2.0 * (ys[lo:lo + 32] @ t.T)
-        for n, g in enumerate(groups):
-            assert np.array_equal(low[lo:lo + 32, n], scores[:, g].min(axis=1))
-            assert np.array_equal(first[lo:lo + 32, n], g[np.argmin(scores[:, g], axis=1)])
+    # a level-2 half (the seven-user leaf) and a level-3 half, rows 1 on: per
+    # -1 count, the least score and the first word reaching it, against all
+    # 256 and 2^17 half-words, on half-integer chips where exact ties are common
+    for c in (C2, C3):
+        words = _all_words(c.cols)
+        t = spread_many(c, words)[:, 1:]
+        norms = (t ** 2).sum(axis=1)
+        groups = [np.flatnonzero((words < 0).sum(axis=1) == n) for n in range(c.cols + 1)]
+        ys = np.random.default_rng(61).integers(-6, 7, size=(256, c.rows - 1)) / 2.0
+        low, first = MlDecoder(C3)._half(ys, c.level)
+        for lo in range(0, len(ys), 32):
+            scores = norms - 2.0 * (ys[lo:lo + 32] @ t.T)
+            for n, g in enumerate(groups):
+                assert np.array_equal(low[lo:lo + 32, n], scores[:, g].min(axis=1))
+                assert np.array_equal(first[lo:lo + 32, n], g[np.argmin(scores[:, g], axis=1)])
+
+
+def _count_wise_top(ml, y):
+    """The top as a min over -1 counts n: t(n) (t(n) - 2 y0) plus ``_split``'s
+    least residual of rows 1 on, narrowed to the least left index, then
+    middle bit, then right index; the reference for the min over cells."""
+    h = (ml.users - 1) // 2
+    rest, left, mid, right = ml._split(y[:, 1:], ml.level)
+    t = ml.amplitude * (ml.users - 2.0 * np.arange(ml.users + 1))
+    total = t * (t - 2.0 * y[:, :1]) + rest
+    tied = total == total.min(axis=1, keepdims=True)
+    for key in (left, mid, right):
+        key = np.where(tied, key, np.iinfo(np.int64).max)
+        tied &= key == key.min(axis=1, keepdims=True)
+    best = np.argmax(tied, axis=1)[:, None]
+    pick = lambda a: np.take_along_axis(a, best, axis=1)[:, 0]
+    return np.hstack((_index_words(pick(left), h), 2 * pick(mid)[:, None] - 1,
+                      _index_words(pick(right), h)))
+
+
+@pytest.mark.parametrize("kind", ["noisy", "lattice"])
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_ml_top_matches_count_wise_top(level, kind):
+    c = build_codebook(level)
+    ys = _ml_inputs(c, kind, np.random.default_rng(67 + level))
+    for amplitude in (1.0, 2.5):
+        y = (amplitude * ys).astype(np.float32).astype(np.float64)
+        ml = MlDecoder(c, amplitude)
+        assert np.array_equal(ml.decode_batch(y), _count_wise_top(ml, y))
 
 
 @pytest.mark.parametrize("level", [4, 5])

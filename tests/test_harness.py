@@ -1,10 +1,12 @@
 import json
 import math
+import os
 
 import pytest
 
 from udcdma.harness import (
     CSV_COLUMNS,
+    MAX_WORKERS_PER_CPU,
     SimConfig,
     curve_to_csv,
     emit_results,
@@ -38,6 +40,15 @@ def test_config_validation():
                   decoders=("pda",))
     with pytest.raises(ValueError):
         SimConfig(level=2, trials_per_point=10, rng_seed=1, snr_convention="ebn0")
+
+
+def test_worker_count_capped_per_cpu():
+    # constructing a config starts no process, whatever the count
+    most = MAX_WORKERS_PER_CPU * (os.cpu_count() or 1)
+    assert small_cfg(workers=most).workers == most
+    for workers in (0, most + 1, 100_000):
+        with pytest.raises(ValueError, match="workers must be between 1 and"):
+            small_cfg(workers=workers)
 
 
 @pytest.mark.parametrize("grid", [
