@@ -31,8 +31,7 @@ per-count half residuals, so its cost grows with the square of the user count.
 Each half keeps its least residual per -1 count; the top keeps only the best
 word, one min over the (left count, right count) cells.  A level-2 half has
 no chip for user 4, so it scores the 128 words of the other seven users.
-Level 2 itself is one argmin over its 256 words, in float32 while a chunk's
-chips cannot overflow the product and in float64 past that.
+Level 2 itself is one float64 argmin over its 256 words.
 ``MlDecoder.decode`` decodes one vector as a batch of one.
 
 Quantizer conventions used throughout (all validated exhaustively by the
@@ -181,12 +180,12 @@ def _all_words(users: int) -> np.ndarray:
 # ML decodes levels 2 to ML_MAX_LEVEL.  A level-6 decode would index its
 # 71-user halves, past the 63 bits of an int64.
 ML_MAX_LEVEL = 5
-# Rows per ML chunk: at level 5 the largest temporaries are the top's
-# 2048 x 36 x 36 float64 cells, 21 MiB, and as many int64 keys when some
-# of those cells tie.
-_ML_ROWS = 2048
+# Rows per ML chunk, few enough for a chunk's scores to stay in cache: at
+# level 2 they are 256 x 256 float64, 512 KiB, and at level 5 the largest
+# temporaries are the top's 256 x 36 x 36 float64 cells, 2.6 MiB, and as
+# many int64 keys when some of those cells tie.
+_ML_ROWS = 256
 _NO_INDEX = np.iinfo(np.int64).max
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # The 256 level-2 words and their spreads, in index order.
 _WORDS8 = _all_words(8)
@@ -242,12 +241,13 @@ class MlDecoder:
     there, so its table holds the 128 words of the other seven users by
     count, and user 4 moves a word to the next count.  A residual is scored
     as ``|t|^2 - 2 y.t``, the squared distance less ``|y|^2``, so large
-    chips keep their differences.  Ties go to the lexicographically
+    chips keep their differences.  Exact ties go to the lexicographically
     smallest word, as a sweep over all 2^K words in index order would give.
-    Level 2 is a single argmin over its 256 words, in float32 unless the
-    chunk's chips are large enough to overflow it; above level 2 scores are
-    float64, from the chips cast once to float32.  ``comparisons`` is 2^K,
-    the hypothesis count of the brute-force ML the paper prices.
+    The top picks its middle user on the all-ones row alone, before the rest
+    of the cell is added, so where the two choices' float64 totals differ
+    by rounding only, the smaller all-ones term wins.  Level 2 is a single argmin over its 256 words.  Scores are float64, from
+    the chips cast once to float32.  ``comparisons`` is 2^K, the hypothesis
+    count of the brute-force ML the paper prices.
     """
 
     def __init__(self, c: TernaryCodebook, amplitude: float = 1.0):
@@ -259,15 +259,9 @@ class MlDecoder:
         self.amplitude = amplitude
         self.comparisons = 1 << c.cols
         if c.level == 2:
+            # scores |t|^2 - 2 y.t = y @ (-2 t) + |t|^2
             table = amplitude * _SPREAD8
-            self._table64, self._norms64 = table, (table ** 2).sum(axis=1)
-            with np.errstate(over="ignore"):    # a float32 overflow only sends chunks to float64
-                self._table = table.astype(np.float32)
-                self._norms = (self._table.astype(np.float64) ** 2).sum(axis=1).astype(np.float32)
-            # a chunk scores in float32 while 2 |y.t| <= 2 max|y| max|t|_1 and
-            # |t|^2 each stay within a quarter of its range, else in float64
-            fits = self._norms.max() <= _FLOAT32_MAX / 4
-            self._f32_chips = _FLOAT32_MAX / (8 * np.abs(table).sum(axis=1).max()) if fits else -1.0
+            self._table, self._norms = -2.0 * table.T, (table ** 2).sum(axis=1)
             return
         # leaf scores |t|^2 - 2 y.t = y @ (-2 t) + |t|^2, grouped by count;
         # a pad scores +inf
@@ -293,18 +287,12 @@ class MlDecoder:
         _require_finite(ys, "chips must be finite in float32", shown=y64)
         out = np.empty((ys.shape[0], self.users), dtype=np.int8)
         for lo in range(0, ys.shape[0], _ML_ROWS):
-            block = ys[lo:lo + _ML_ROWS]
+            block = ys[lo:lo + _ML_ROWS].astype(np.float64)
             if self.level > 2:
-                out[lo:lo + len(block)] = self._decode_top(block.astype(np.float64))
+                out[lo:lo + len(block)] = self._decode_top(block)
                 continue
-            if np.abs(block).max() <= self._f32_chips:    # noise-sized chips
-                scores = block @ self._table.T
-                norms = self._norms
-            else:
-                scores = block.astype(np.float64) @ self._table64.T
-                norms = self._norms64
-            scores *= -2.0
-            scores += norms
+            scores = block @ self._table
+            scores += self._norms
             out[lo:lo + len(block)] = _WORDS8[np.argmin(scores, axis=1)]
         return out
 
@@ -317,8 +305,9 @@ class MlDecoder:
         exact tie there goes to -1.  Tied cells narrow to the least left
         index, then the least middle bit and right index.
         """
-        h, n = (self.users - 1) // 2, len(y)
-        low_l, idx_l, low_r, idx_r = self._halves(y[:, 1:], self.level)
+        h, n, cut = (self.users - 1) // 2, len(y), self.rows // 2 + 1
+        low_l, idx_l = self._half(y[:, 2:cut], self.level - 1)
+        low_r, idx_r = self._half(y[:, cut:], self.level - 1)
         t = self.amplitude * (self.users - 2.0 * np.arange(self.users + 1))
         ones = t * (t - 2.0 * y[:, :1])                 # all-ones row per count n
         up = ones[:, :-1] < ones[:, 1:]                 # pair count s: middle +1 (n = s)
@@ -331,7 +320,9 @@ class MlDecoder:
         cell += window(ones, h + 1, axis=1)
         cell = cell.reshape(n, -1)
         tied = cell == cell.min(axis=1, keepdims=True)
-        if np.count_nonzero(tied) > n:      # some row has tied cells
+        # noisy chips almost never tie two cells, so narrow only a chunk
+        # in which some row has more than one least cell
+        if np.count_nonzero(tied) > n:
             right = (window(up, h + 1, axis=1).astype(np.int64) << h) | idx_r[:, None, :]
             for key in (np.repeat(idx_l, h + 1, axis=1), right.reshape(n, -1)):
                 key = np.where(tied, key, _NO_INDEX)
@@ -340,16 +331,6 @@ class MlDecoder:
         rows, n_l, n_r = np.arange(n), pos // (h + 1), pos % (h + 1)
         return np.hstack((_index_words(idx_l[rows, n_l], h), 2 * up[rows, n_l + n_r, None] - 1,
                           _index_words(idx_r[rows, n_r], h))).astype(np.int8)
-
-    def _halves(self, y: np.ndarray, level: int) -> tuple:
-        """``_half`` of the left and the right half of a level-``level``
-        split's chips (rows 1 on): (low_l, idx_l, low_r, idx_r)."""
-        cut = (y.shape[1] + 1) // 2
-        if level > 3:
-            return (*self._half(y[:, 1:cut], level - 1), *self._half(y[:, cut:], level - 1))
-        # leaf halves are small: score both in one product
-        low, first = self._half(np.vstack((y[:, 1:cut], y[:, cut:])), 2)
-        return low[:len(y)], first[:len(y)], low[len(y):], first[len(y):]
 
     def _half(self, y: np.ndarray, level: int):
         """Least residual of a half-word's chips (its level's rows 1 on) per -1
@@ -377,17 +358,16 @@ class MlDecoder:
         """
         h, at_diff, at_right = _SPLIT_CELLS[level]
         offsets = self._offsets[level]
-        low_l, idx_l, low_r, idx_r = self._halves(y, level)
+        cut = (y.shape[1] + 1) // 2
+        low_l, idx_l = self._half(y[:, 1:cut], level - 1)
+        low_r, idx_r = self._half(y[:, cut:], level - 1)
         row = offsets * (offsets - 2.0 * y[:, :1])
         cell = row[:, at_diff]
         cell += low_l[:, None, :]
         cell += np.hstack((low_r, np.full((len(y), 1), np.inf)))[:, at_right]
         pair = cell.min(axis=2)
-        tied = cell == pair[:, :, None]
-        if np.count_nonzero(tied) > pair.size:              # tied nL: least left index
-            nl = np.argmin(np.where(tied, idx_l[:, None, :], _NO_INDEX), axis=2)
-        else:
-            nl = np.argmax(tied, axis=2)
+        key = np.where(cell == pair[:, :, None], idx_l[:, None, :], _NO_INDEX)
+        nl = np.argmin(key, axis=2)                         # tied nL: least left index
         first = np.take_along_axis(idx_l, nl, axis=1)
         # count n takes s = n - 1 with middle -1, or s = n with middle +1
         low, mid = _either(pair, first, first)

@@ -120,9 +120,6 @@ def _run_block(args) -> dict:
     if sigma > 0.0:
         chips = chips + noise_block(ChannelConfig(noise_sigma=sigma, rng_seed=seed),
                                     2 * point_idx + _ROLE_NOISE, block, c.rows, trials)
-    # a word viewed as one K-byte value compares whole, with no reduction
-    # over the short user axis
-    row = np.dtype((np.void, c.cols))
     out = {}
     for dec in _STATE["decoders"]:
         if dec == "fda":
@@ -131,8 +128,8 @@ def _run_block(args) -> dict:
         else:
             decoded = _STATE["ml"].decode_batch(chips)
             total_comps = trials * _STATE["ml"].comparisons
-        out[dec] = (int(np.count_nonzero(decoded != words)),
-                    int(np.count_nonzero(decoded.view(row) != words.view(row))), total_comps)
+        wrong = decoded != words
+        out[dec] = (int(np.count_nonzero(wrong)), int(wrong.any(axis=1).sum()), total_comps)
     return out
 
 
