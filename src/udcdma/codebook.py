@@ -71,6 +71,16 @@ class FtSearchResult:
     exemplar: np.ndarray
 
 
+def check_level(level: int) -> None:
+    """Refuse anything but an integer level from 1 to ``MAX_LEVEL``."""
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise TypeError("level must be an integer")
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if level > MAX_LEVEL:
+        raise ValueError(f"level {level} exceeds the supported maximum {MAX_LEVEL}")
+
+
 def build_codebook(level: int) -> TernaryCodebook:
     """Build the recursive UD codebook for the given level.
 
@@ -80,12 +90,7 @@ def build_codebook(level: int) -> TernaryCodebook:
     and two diagonally placed copies of the previous matrix with its first
     row removed.
     """
-    if not isinstance(level, int) or isinstance(level, bool):
-        raise TypeError("level must be an integer")
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if level > MAX_LEVEL:
-        raise ValueError(f"level {level} exceeds the supported maximum {MAX_LEVEL}")
+    check_level(level)
     if level == 1:
         return TernaryCodebook(1, _LEVEL1.copy())
     if level == 2:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codebook import TernaryCodebook, UdBoundError, build_codebook
+from .codebook import TernaryCodebook, UdBoundError, build_codebook, check_level
 from .channel import spread_many
 from .decoder import _all_words, _q_grid, fda_decode_batch
 
@@ -204,6 +204,7 @@ def complexity_report(
     seed: int = 0,
 ) -> ComplexityReport:
     """Assemble the analytic numbers for one level, optionally with measurement."""
+    check_level(level)
     c = None
     emp = None
     if empirical is not None:

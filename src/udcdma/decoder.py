@@ -31,7 +31,7 @@ per-count half residuals, so its cost grows with the square of the user count.
 Each half keeps its least residual per -1 count; the top keeps only the best
 word, one min over the (left count, right count) cells.  A level-2 half has
 no chip for user 4, so it scores the 128 words of the other seven users.
-Level 2 itself is one float64 argmin over its 256 words.
+Level 2 itself is one float64 product and argmin over its 256 words.
 ``MlDecoder.decode`` decodes one vector as a batch of one.
 
 Quantizer conventions used throughout (all validated exhaustively by the
@@ -181,9 +181,10 @@ def _all_words(users: int) -> np.ndarray:
 # 71-user halves, past the 63 bits of an int64.
 ML_MAX_LEVEL = 5
 # Rows per ML chunk, few enough for a chunk's scores to stay in cache: at
-# level 2 they are 256 x 256 float64, 512 KiB, and at level 5 the largest
-# temporaries are the top's 256 x 36 x 36 float64 cells, 2.6 MiB, and as
-# many int64 keys when some of those cells tie.
+# level 2 each call writes every chunk's scores into one 256 x 256 float64
+# buffer, 512 KiB, and at level 5 the largest temporaries are the top's
+# 256 x 36 x 36 float64 cells, 2.6 MiB, and as many int64 keys when some of
+# those cells tie.
 _ML_ROWS = 256
 _NO_INDEX = np.iinfo(np.int64).max
 
@@ -245,9 +246,13 @@ class MlDecoder:
     smallest word, as a sweep over all 2^K words in index order would give.
     The top picks its middle user on the all-ones row alone, before the rest
     of the cell is added, so where the two choices' float64 totals differ
-    by rounding only, the smaller all-ones term wins.  Level 2 is a single argmin over its 256 words.  Scores are float64, from
-    the chips cast once to float32.  ``comparisons`` is 2^K, the hypothesis
-    count of the brute-force ML the paper prices.
+    by rounding only, the smaller all-ones term wins.
+
+    Level 2 scores its 256 words in one product and takes one argmin: the
+    chips get a unit fifth chip, and the table a fifth row of norms |t|^2,
+    so each score is ``y.(-2t)`` with ``|t|^2`` added last.  Scores are
+    float64, from the chips cast once to float32.  ``comparisons`` is 2^K,
+    the hypothesis count of the brute-force ML the paper prices.
     """
 
     def __init__(self, c: TernaryCodebook, amplitude: float = 1.0):
@@ -259,9 +264,9 @@ class MlDecoder:
         self.amplitude = amplitude
         self.comparisons = 1 << c.cols
         if c.level == 2:
-            # scores |t|^2 - 2 y.t = y @ (-2 t) + |t|^2
+            # scores |t|^2 - 2 y.t = [y, 1] @ [-2 t; |t|^2], the norm the last term
             table = amplitude * _SPREAD8
-            self._table, self._norms = -2.0 * table.T, (table ** 2).sum(axis=1)
+            self._table = np.vstack((-2.0 * table.T, (table ** 2).sum(axis=1)))
             return
         # leaf scores |t|^2 - 2 y.t = y @ (-2 t) + |t|^2, grouped by count;
         # a pad scores +inf
@@ -285,15 +290,19 @@ class MlDecoder:
         with np.errstate(over="ignore"):
             ys = y64.astype(np.float32)
         _require_finite(ys, "chips must be finite in float32", shown=y64)
-        out = np.empty((ys.shape[0], self.users), dtype=np.int8)
-        for lo in range(0, ys.shape[0], _ML_ROWS):
-            block = ys[lo:lo + _ML_ROWS].astype(np.float64)
+        n = len(ys)
+        out = np.empty((n, self.users), dtype=np.int8)
+        if self.level == 2:
+            aug = np.ones((n, 5))               # a unit fifth chip adds |t|^2
+            aug[:, :4] = ys
+            scores = np.empty((min(n, _ML_ROWS), 256))
+        for lo in range(0, n, _ML_ROWS):
+            hi = min(lo + _ML_ROWS, n)
             if self.level > 2:
-                out[lo:lo + len(block)] = self._decode_top(block)
+                out[lo:hi] = self._decode_top(ys[lo:hi].astype(np.float64))
                 continue
-            scores = block @ self._table
-            scores += self._norms
-            out[lo:lo + len(block)] = _WORDS8[np.argmin(scores, axis=1)]
+            chunk = np.matmul(aug[lo:hi], self._table, out=scores[:hi - lo])
+            out[lo:hi] = _WORDS8[np.argmin(chunk, axis=1)]
         return out
 
     def _decode_top(self, y: np.ndarray) -> np.ndarray:

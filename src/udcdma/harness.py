@@ -44,6 +44,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        if self.min_errors is not None and self.min_errors < 1:
+            raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
         if not self.decoders:
             raise ValueError("at least one decoder is required")
         for d in self.decoders:
@@ -150,9 +152,6 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
         points = [(None, float(s)) for s in cfg.sigma_grid]
 
     n_blocks = (cfg.trials_per_point + NOISE_BLOCK - 1) // NOISE_BLOCK
-    block_sizes = [
-        min(NOISE_BLOCK, cfg.trials_per_point - b * NOISE_BLOCK) for b in range(n_blocks)
-    ]
 
     _init_state(c, cfg.amplitude, cfg.decoders)
     pool = multiprocessing.get_context("fork").Pool(cfg.workers) if cfg.workers > 1 else None
@@ -166,13 +165,16 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
             stop = False
             while next_block < n_blocks and not stop:
                 wave = range(next_block, min(next_block + max(cfg.workers * 4, 8), n_blocks))
-                args = [(cfg.rng_seed, point_idx, b, block_sizes[b], sigma) for b in wave]
+                # sized per wave: a huge budget that stops early on
+                # min_errors must not list every block up front
+                sizes = [min(NOISE_BLOCK, cfg.trials_per_point - b * NOISE_BLOCK) for b in wave]
+                args = [(cfg.rng_seed, point_idx, b, n, sigma) for b, n in zip(wave, sizes)]
                 if pool is not None:
                     outs = pool.map(_run_block, args)
                 else:
                     outs = [_run_block(a) for a in args]
-                for b, out in zip(wave, outs):
-                    trials_done += block_sizes[b]
+                for size, out in zip(sizes, outs):
+                    trials_done += size
                     for d in cfg.decoders:
                         be, we, comps = out[d]
                         tallies[d][0] += be

@@ -230,6 +230,15 @@ def test_complexity_samples_below_one_diagnosed(capsys, mode, samples):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("mode", ["analytic", "empirical", "both"])
+def test_complexity_level_past_the_maximum_diagnosed(capsys, mode):
+    # the analytic recursion alone would run for minutes at level 13
+    code, out, err = run_cli(capsys, "complexity", "--level", "13", "--mode", mode)
+    assert code == 1
+    assert out == ""
+    assert err == "error: level 13 exceeds the supported maximum 12\n"
+
+
 @pytest.mark.parametrize("decoder", ["fda", "ml"])
 @pytest.mark.parametrize("chips", ["inf,1,1,0", "nan,1,1,0"])
 def test_decode_non_finite_chips_diagnosed(capsys, chips, decoder):

@@ -441,6 +441,32 @@ def test_ml_matches_brute_force_oracle(level, kind):
         assert np.array_equal(MlDecoder(c, 0.7).decode_batch(y), ml_oracle(c, y, 0.7))
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 0.7])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+def test_ml_level2_matches_oracle_at_chunk_edges(n, amplitude):
+    # one score buffer serves every 256-row chunk, sliced on a short last one
+    rng = np.random.default_rng(71 + n)
+    x = 2 * rng.integers(0, 2, size=(n, 8)) - 1
+    ys = amplitude * (spread_many(C2, x) + rng.normal(0, 0.7, size=(n, 4)))
+    ys[::3] = amplitude * rng.integers(-16, 17, size=ys[::3].shape) / 2.0    # lattice rows tie
+    words = MlDecoder(C2, amplitude).decode_batch(ys)
+    assert words.shape == (n, 8) and words.dtype == np.int8
+    if n:
+        assert np.array_equal(words, ml_oracle(C2, ys, amplitude))
+
+
+@pytest.mark.parametrize("amplitude", [0.7, 1.3])
+def test_ml_level2_fused_scores_equal_oracle_sum(amplitude):
+    # the unit fifth chip adds |t|^2 as the product's last inner term, so a
+    # score is the oracle's norms - 2 y.t bit for bit; a BLAS that split the
+    # inner sum would fail here rather than move rounding-level ties
+    t = amplitude * CHIPS8
+    y = (amplitude * np.random.default_rng(73).normal(0, 2, size=(2000, 4))).astype(np.float32)
+    y = y.astype(np.float64)
+    scores = np.hstack((y, np.ones((len(y), 1)))) @ MlDecoder(C2, amplitude)._table
+    assert np.array_equal(scores, (t ** 2).sum(axis=1) - 2.0 * (y @ t.T))
+
+
 def test_ml_half_tables_match_brute_force():
     # a level-2 half (the seven-user leaf) and a level-3 half, rows 1 on: per
     # -1 count, the least score and the first word reaching it, against all

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from udcdma.channel import NOISE_BLOCK
 from udcdma.harness import (
     CSV_COLUMNS,
     MAX_WORKERS_PER_CPU,
@@ -130,6 +131,22 @@ def test_min_errors_stopping_deterministic():
     assert curve_to_csv(a) == curve_to_csv(b)
     assert all(p.trials < 500_000 for p in a)       # stopped early
     assert all(p.bit_errors >= 200 for p in a)
+
+
+def test_min_errors_below_one_rejected():
+    for min_errors in (0, -3):
+        with pytest.raises(ValueError, match="min_errors must be >= 1"):
+            small_cfg(min_errors=min_errors)
+
+
+def test_huge_trial_budget_stops_after_its_first_wave():
+    # a budget of about 2.4e11 blocks: only block sizes taken per wave keep
+    # "run until one error" within memory
+    cfg = SimConfig(level=2, trials_per_point=10**15, rng_seed=1, sigma_grid=(0.5,),
+                    snr_convention="raw_sigma", decoders=("fda",), min_errors=1)
+    (point,) = run_ber_sweep(cfg)
+    assert point.trials == NOISE_BLOCK
+    assert point.bit_errors >= 1
 
 
 def test_csv_shape_and_header():
