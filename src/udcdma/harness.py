@@ -1,8 +1,11 @@
 """Seeded BER sweeps over the AWGN channel plus machine-readable emission.
 
 Trials are organised in fixed-size blocks keyed by (seed, point, role,
-block); workers always process whole blocks and results merge in block
-order, so output bytes are identical for any worker count.  Both decoders
+block).  A sweep runs in waves: each wave takes the next blocks of every
+grid point that has not stopped and decodes them as stacks of at most
+NOISE_BLOCK rows.  A block's words and noise depend only on its key, never
+on the stack that holds it, and each point merges its blocks in block order,
+so output bytes are identical for any worker count.  Both decoders
 see the same words and the same noise (common random numbers).
 """
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,6 +57,8 @@ class SimConfig:
                 raise ValueError(f"unknown decoder {d!r}")
         if len(set(self.decoders)) != len(self.decoders):
             raise ValueError(f"decoders must be distinct, got {self.decoders}")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+            raise ValueError(f"amplitude must be finite and positive, got {self.amplitude}")
         if self.snr_convention not in ("ebn0", "raw_sigma"):
             raise ValueError("snr_convention must be 'ebn0' or 'raw_sigma'")
         if self.snr_convention == "ebn0" and not self.snr_db_grid:
@@ -111,36 +117,61 @@ def _init_state(c: TernaryCodebook, amplitude: float, decoders: Sequence[str]):
     _STATE["decoders"] = tuple(decoders)
 
 
-def _run_block(args) -> dict:
-    """Decode one trial block; pure function of its arguments and _STATE."""
-    seed, point_idx, block, trials, sigma = args
+def _run_batch(pieces) -> list:
+    """Decode a stack of trial pieces, one (seed, point, block, trials, sigma)
+    each, and return one ``{decoder: (bit errors, word errors, comparisons)}``
+    tally per piece; a pure function of its arguments and _STATE."""
     c: TernaryCodebook = _STATE["codebook"]
     amplitude = _STATE["amplitude"]
-    # a short block draws only its first rows, the same values as a full one
-    words = random_words(seed, 2 * point_idx + _ROLE_DATA, block, trials, c.cols)
+    # a short piece draws only its first rows, the same values as a full block
+    words = [random_words(seed, 2 * point_idx + _ROLE_DATA, block, trials, c.cols)
+             for seed, point_idx, block, trials, _ in pieces]
+    words = words[0] if len(words) == 1 else np.concatenate(words)
     chips = spread_many(c, words, amplitude)
-    if sigma > 0.0:
-        chips = chips + noise_block(ChannelConfig(noise_sigma=sigma, rng_seed=seed),
-                                    2 * point_idx + _ROLE_NOISE, block, c.rows, trials)
-    out = {}
+    bounds = [0, *accumulate(piece[3] for piece in pieces)]
+    for (seed, point_idx, block, trials, sigma), lo in zip(pieces, bounds):
+        if sigma > 0.0:
+            noise_cfg = ChannelConfig(noise_sigma=sigma, rng_seed=seed)
+            stream = 2 * point_idx + _ROLE_NOISE
+            chips[lo:lo + trials] += noise_block(noise_cfg, stream, block, c.rows, trials)
+    # both decoders decode each row on its own, so a piece's tally does not
+    # depend on the pieces stacked beside it
+    out = [{} for _ in pieces]
     for dec in _STATE["decoders"]:
         if dec == "fda":
             decoded, comps = fda_decode_batch(c, chips, amplitude)
-            total_comps = int(comps.sum())
         else:
             decoded = _STATE["ml"].decode_batch(chips)
-            total_comps = trials * _STATE["ml"].comparisons
         wrong = decoded != words
-        out[dec] = (int(np.count_nonzero(wrong)), int(wrong.any(axis=1).sum()), total_comps)
+        for tally, lo, hi in zip(out, bounds, bounds[1:]):
+            w = wrong[lo:hi]
+            total_comps = (int(comps[lo:hi].sum()) if dec == "fda"
+                           else (hi - lo) * _STATE["ml"].comparisons)
+            tally[dec] = (int(np.count_nonzero(w)), int(w.any(axis=1).sum()), total_comps)
     return out
+
+
+def _batches(pieces: list) -> list:
+    """Group consecutive pieces into stacks of at most NOISE_BLOCK rows."""
+    batches, rows = [], NOISE_BLOCK
+    for piece in pieces:
+        if rows + piece[3] > NOISE_BLOCK:
+            batches.append([])
+            rows = 0
+        batches[-1].append(piece)
+        rows += piece[3]
+    return batches
 
 
 def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
     """Run every (grid point, decoder) cell and return its statistics.
 
-    Deterministic for a fixed config: trial blocks are derived from
-    (seed, point, block) alone and merged in block order, and the optional
-    early-stop rule is evaluated on that same ordering.
+    Each wave lists the next blocks of every point that has not stopped and
+    decodes them in stacks of at most NOISE_BLOCK rows, so small points share
+    one decoder call.  Deterministic for a fixed config: a block's trials are
+    derived from (seed, point, block) alone, whichever stack decodes them, and
+    each point merges its blocks in block order and evaluates the optional
+    early-stop rule on that same ordering.
     """
     c = build_codebook(cfg.level)
     if "ml" in cfg.decoders and cfg.level > ML_MAX_LEVEL:
@@ -152,61 +183,65 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
         points = [(None, float(s)) for s in cfg.sigma_grid]
 
     n_blocks = (cfg.trials_per_point + NOISE_BLOCK - 1) // NOISE_BLOCK
+    per_wave = max(cfg.workers * 4, 8)
+    tallies = [{d: [0, 0, 0] for d in cfg.decoders} for _ in points]
+    trials_done = [0] * len(points)
 
     _init_state(c, cfg.amplitude, cfg.decoders)
     pool = multiprocessing.get_context("fork").Pool(cfg.workers) if cfg.workers > 1 else None
 
-    results = []
     try:
-        for point_idx, (snr_db, sigma) in enumerate(points):
-            tallies = {d: [0, 0, 0] for d in cfg.decoders}
-            trials_done = 0
-            next_block = 0
-            stop = False
-            while next_block < n_blocks and not stop:
-                wave = range(next_block, min(next_block + max(cfg.workers * 4, 8), n_blocks))
-                # sized per wave: a huge budget that stops early on
-                # min_errors must not list every block up front
-                sizes = [min(NOISE_BLOCK, cfg.trials_per_point - b * NOISE_BLOCK) for b in wave]
-                args = [(cfg.rng_seed, point_idx, b, n, sigma) for b, n in zip(wave, sizes)]
-                if pool is not None:
-                    outs = pool.map(_run_block, args)
-                else:
-                    outs = [_run_block(a) for a in args]
-                for size, out in zip(sizes, outs):
-                    trials_done += size
-                    for d in cfg.decoders:
-                        be, we, comps = out[d]
-                        tallies[d][0] += be
-                        tallies[d][1] += we
-                        tallies[d][2] += comps
-                    if cfg.min_errors is not None:
-                        reached = all(tallies[d][0] >= cfg.min_errors for d in cfg.decoders)
-                        if reached:
-                            stop = True
-                            break
-                next_block = wave.stop
-            for d in cfg.decoders:
-                be, we, comps = tallies[d]
-                bits = trials_done * c.cols
-                lo, hi = wilson_interval(be, bits)
-                results.append(BerPoint(
-                    snr_db=snr_db,
-                    sigma=sigma,
-                    decoder=d,
-                    trials=trials_done,
-                    bit_errors=be,
-                    ber=be / bits,
-                    ci_low=lo,
-                    ci_high=hi,
-                    word_errors=we,
-                    wer=we / trials_done,
-                    mean_comparisons=comps / trials_done,
-                ))
+        active = list(range(len(points)))
+        next_block = 0
+        while active:
+            wave = range(next_block, min(next_block + per_wave, n_blocks))
+            # sized per wave: a huge budget that stops early on min_errors
+            # must not list every block up front
+            sizes = [min(NOISE_BLOCK, cfg.trials_per_point - b * NOISE_BLOCK) for b in wave]
+            pieces = [(cfg.rng_seed, p, b, n, points[p][1])
+                      for p in active for b, n in zip(wave, sizes)]
+            batches = _batches(pieces)
+            if pool is not None:
+                outs = pool.map(_run_batch, batches)
+            else:
+                outs = [_run_batch(batch) for batch in batches]
+            stopped = set()
+            for (_, p, _, size, _), out in zip(pieces, (t for o in outs for t in o)):
+                if p in stopped:
+                    continue
+                trials_done[p] += size
+                for d in cfg.decoders:
+                    for i, v in enumerate(out[d]):
+                        tallies[p][d][i] += v
+                if cfg.min_errors is not None and all(
+                        tallies[p][d][0] >= cfg.min_errors for d in cfg.decoders):
+                    stopped.add(p)
+            next_block = wave.stop
+            active = [p for p in active if p not in stopped] if next_block < n_blocks else []
     finally:
         if pool is not None:
             pool.close()
             pool.join()
+
+    results = []
+    for (snr_db, sigma), done, tally in zip(points, trials_done, tallies):
+        for d in cfg.decoders:
+            be, we, comps = tally[d]
+            bits = done * c.cols
+            lo, hi = wilson_interval(be, bits)
+            results.append(BerPoint(
+                snr_db=snr_db,
+                sigma=sigma,
+                decoder=d,
+                trials=done,
+                bit_errors=be,
+                ber=be / bits,
+                ci_low=lo,
+                ci_high=hi,
+                word_errors=we,
+                wer=we / done,
+                mean_comparisons=comps / done,
+            ))
     return results
 
 

@@ -250,6 +250,16 @@ def test_decode_non_finite_chips_diagnosed(capsys, chips, decoder):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("amplitude", ["inf", "nan", "0", "-1"])
+def test_bad_amplitude_diagnosed(capsys, amplitude):
+    # refused before any block runs, so no numpy warning precedes the error
+    code, out, err = run_cli(capsys, "ber", "--level", "2", "--sigma", "0.5", "--trials", "10",
+                             "--decoders", "fda", "--amplitude", amplitude)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: amplitude must be finite and positive, got {float(amplitude)}\n"
+
+
 PINNED = Path(__file__).parent / "data" / "pinned"
 
 
@@ -260,6 +270,9 @@ PINNED = Path(__file__).parent / "data" / "pinned"
      "ber_l3_snr4-4-12_t128_s0.csv"),
     ("ber --level 3 --sigma 0.5,1.5 --amplitude 2.5 --trials 300 --seed 7 --format json",
      "ber_l3_sigma_amp2.5_t300_s7.json"),
+    # 0-6 dB stop after block 0; 9 and 12 dB run 4096 + 4096 + 808 trials
+    *((f"ber --level 2 --snr 0:3:12 --trials 9000 --seed 4 --min-errors 2000 --workers {w}",
+       "ber_l2_snr0-3-12_t9000_s4_min2000.csv") for w in (1, 2)),
 ])
 def test_fixed_seed_output_is_pinned(capsys, argv, name):
     # fixed-seed sweeps must reproduce the frozen output byte for byte

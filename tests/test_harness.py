@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from udcdma import harness
 from udcdma.channel import NOISE_BLOCK
+from udcdma.codebook import build_codebook
 from udcdma.harness import (
     CSV_COLUMNS,
     MAX_WORKERS_PER_CPU,
@@ -147,6 +149,37 @@ def test_huge_trial_budget_stops_after_its_first_wave():
     (point,) = run_ber_sweep(cfg)
     assert point.trials == NOISE_BLOCK
     assert point.bit_errors >= 1
+
+
+@pytest.mark.parametrize("level, amplitude", [(2, 1.0), (3, 1.7)])
+def test_stacked_pieces_tally_as_pieces_alone(level, amplitude):
+    # pieces from different points, sigmas 0 and above, one of them partial
+    harness._init_state(build_codebook(level), amplitude, ("fda", "ml"))
+    pieces = [(5, 0, 0, 700, 0.0), (5, 3, 2, 1000, 0.6), (5, 1, 0, 37, 1.3), (9, 2, 1, 900, 0.9)]
+    stacked = harness._run_batch(pieces)
+    alone = [harness._run_batch([piece])[0] for piece in pieces]
+    assert stacked == alone
+    assert stacked[0]["fda"][:2] == stacked[0]["ml"][:2] == (0, 0)
+    assert all(t["fda"][0] > 0 for t in stacked[1:])
+
+
+def test_batches_hold_at_most_one_noise_block(monkeypatch):
+    rows = []
+    run_batch = harness._run_batch
+
+    def counted(pieces):
+        rows.append(sum(piece[3] for piece in pieces))
+        return run_batch(pieces)
+
+    monkeypatch.setattr(harness, "_run_batch", counted)
+    # 13 points of 1000 trials stack four to a batch, the remainder alone
+    run_ber_sweep(small_cfg(trials_per_point=1000, snr_db_grid=tuple(range(13)),
+                            decoders=("fda",)))
+    assert rows == [4000, 4000, 4000, 1000]
+    rows.clear()
+    # a full block fills a batch, so the two 5-trial tails are never adjacent
+    run_ber_sweep(small_cfg(trials_per_point=2 * NOISE_BLOCK + 5, decoders=("fda",)))
+    assert rows == [NOISE_BLOCK, NOISE_BLOCK, 5] * 2
 
 
 def test_csv_shape_and_header():
