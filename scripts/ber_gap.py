@@ -9,6 +9,7 @@ their own --snr-lo/--snr-hi.
 import argparse
 import math
 
+from udcdma.decoder import ML_MAX_LEVEL
 from udcdma.harness import SimConfig, run_ber_sweep
 
 
@@ -24,7 +25,7 @@ def crossing(points, decoder, target):
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--level", type=int, choices=(2, 3, 4, 5), default=2)
+    ap.add_argument("--level", type=int, choices=range(2, ML_MAX_LEVEL + 1), default=2)
     ap.add_argument("--trials", type=int, default=1_000_000)
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--target", type=float, default=1e-3)

@@ -81,32 +81,17 @@ def _cmd_decode(args) -> int:
 
 def _cmd_ber(args) -> int:
     decoders = tuple(d.strip() for d in args.decoders.split(",") if d.strip())
-    if args.sigma:
-        cfg = SimConfig(
-            level=args.level,
-            trials_per_point=args.trials,
-            rng_seed=args.seed,
-            sigma_grid=tuple(float(s) for s in args.sigma.split(",")),
-            decoders=decoders,
-            amplitude=args.amplitude,
-            snr_convention="raw_sigma",
-            workers=args.workers,
-            min_errors=args.min_errors,
-        )
-    else:
-        if not args.snr:
-            raise ValueError("either --snr or --sigma is required")
-        cfg = SimConfig(
-            level=args.level,
-            trials_per_point=args.trials,
-            rng_seed=args.seed,
-            snr_db_grid=_parse_grid(args.snr),
-            decoders=decoders,
-            amplitude=args.amplitude,
-            snr_convention="ebn0",
-            workers=args.workers,
-            min_errors=args.min_errors,
-        )
+    cfg = SimConfig(
+        level=args.level,
+        trials_per_point=args.trials,
+        rng_seed=args.seed,
+        snr_db_grid=_parse_grid(args.snr) if args.snr else None,
+        sigma_grid=tuple(float(s) for s in args.sigma.split(",")) if args.sigma else None,
+        decoders=decoders,
+        amplitude=args.amplitude,
+        workers=args.workers,
+        min_errors=args.min_errors,
+    )
     points = run_ber_sweep(cfg)
     if args.out:
         try:

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional
 
 import numpy as np
 
 MAX_LEVEL = 12
-UD_CHECK_BOUND = 17     # nullspace scan costs ~3^K/2; 3^17 is the practical ceiling
-_BRUTE_MAX_COLS = 12    # below this a plain chunked scan is simpler than meet-in-the-middle
-_CHUNK = 1 << 16
-_PACK_BITS = 6          # per-row field width when packing sum vectors into int64
+UD_CHECK_BOUND = 17     # nullspace scan tabulates ~3^ceil(K/2) rows per half
+# Memory guard on the larger half's int8 tables.  Peak memory runs about five
+# times the tables: a 16x26 matrix holds 46 MiB of them and adds 242 MiB of RSS.
+_UD_TABLE_BYTES = 1 << 26
 
 _LEVEL1 = np.array([[1, 1, 1],
                     [1, 0, -1]], dtype=np.int8)
@@ -131,98 +132,72 @@ def _ternary_digits(start: int, stop: int, ndigits: int) -> np.ndarray:
     return out
 
 
-def _pack_rows(sums: np.ndarray) -> np.ndarray:
-    """Pack integer sum vectors (rows of `sums`s columns) into int64 keys.
-
-    Sound as an equality test as long as every per-row sum stays below
-    2^(_PACK_BITS-1) in magnitude, which holds for K <= 17 columns.
-    """
-    L = sums.shape[0]
-    weights = (np.int64(1) << (_PACK_BITS * np.arange(L, dtype=np.int64)))
-    return weights @ sums.astype(np.int64)
+def _sci(num: int, den: int) -> str:
+    """num / den written like 2.50e+16, also past the float range."""
+    try:
+        return f"{num / den:.2e}"
+    except OverflowError:
+        return f"{Decimal(num) / den:.2e}"
 
 
-def _scan_block(base: np.ndarray, tail: np.ndarray, count: int, ndigits: int):
-    """First suffix d (lex order) with base + tail @ d = 0, or None."""
-    for lo in range(0, count, _CHUNK):
-        hi = min(lo + _CHUNK, count)
-        digits = _ternary_digits(lo, hi, ndigits)
-        sums = base[:, None] + tail.astype(np.int32) @ digits.T.astype(np.int32)
-        hits = np.flatnonzero((sums == 0).all(axis=0))
-        if hits.size:
-            return digits[hits[0]]
-    return None
-
-
-def _scan_block_mitm(base: np.ndarray, tail: np.ndarray, ndigits: int):
-    """Meet-in-the-middle version of _scan_block for long suffixes."""
-    half = ndigits // 2
-    d_a = _ternary_digits(0, 3 ** half, half)
-    d_b = _ternary_digits(0, 3 ** (ndigits - half), ndigits - half)
-    sums_a = base[:, None] + tail[:, :half].astype(np.int32) @ d_a.T.astype(np.int32)
-    sums_b = tail[:, half:].astype(np.int32) @ d_b.T.astype(np.int32)
-    keys_a = _pack_rows(sums_a)
-    keys_b = _pack_rows(sums_b)
-    hits = np.isin(-keys_a, keys_b)
-    if not hits.any():
-        return None
-    a_idx = int(np.flatnonzero(hits)[0])
-    b_idx = int(np.flatnonzero(keys_b == -keys_a[a_idx])[0])
-    return np.concatenate([d_a[a_idx], d_b[b_idx]])
+def _row_keys(sums: np.ndarray) -> np.ndarray:
+    """One exact key per row of an int8 matrix: the row's bytes."""
+    return np.ascontiguousarray(sums).view(np.dtype((np.void, sums.shape[1]))).ravel()
 
 
 def verify_ud(matrix, bound: int = UD_CHECK_BOUND) -> UdWitness:
     """Exhaustively certify unique decodability of a ternary matrix.
 
-    Scans every nonzero d in {-1,0,+1}^K for a nullspace hit, fixing the
-    first nonzero coordinate to +1 (negating d preserves membership, so this
-    halves the work).  On failure returns the lexicographically first
-    counterexample, ordering coordinates as -1 < 0 < +1.
+    Meet in the middle: split the K columns into A (the first K // 2) and B
+    (the rest), tabulate A d_a and -B d_b once over every ternary d_a and d_b,
+    and look for equal rows.  Only d whose first nonzero coordinate is +1 are
+    candidates (negating d preserves membership).  On failure returns the
+    lexicographically first counterexample, ordering coordinates as
+    -1 < 0 < +1.  Each table holds ~3^ceil(K/2) rows, for any row count.
     """
     m = _as_ternary(matrix)
     n_rows, n_cols = m.shape
     if n_cols > bound:
-        cost = 3 ** n_cols / 2
         raise UdBoundError(
-            f"UD scan over {n_cols} columns needs ~{cost:.2e} candidates; "
+            f"UD scan over {n_cols} columns needs ~{_sci(3 ** n_cols, 2)} candidates; "
             f"bound is {bound} columns"
         )
-    use_mitm = n_cols > _BRUTE_MAX_COLS
-    if use_mitm and n_rows * _PACK_BITS > 63:
-        use_mitm = False
-    if not use_mitm and 3 ** n_cols > 3 ** _BRUTE_MAX_COLS * 9:
+    half = n_cols // 2
+    n_b = n_cols - half
+    table_bytes = 3 ** n_b * (n_rows + n_b)
+    if table_bytes > _UD_TABLE_BYTES:
         raise UdBoundError(
-            f"matrix with {n_rows} rows x {n_cols} columns is too large to scan"
+            f"UD scan of a {n_rows}x{n_cols} matrix needs ~{_sci(table_bytes, 2 ** 20)} MiB "
+            f"of tables; cap is {_UD_TABLE_BYTES >> 20} MiB"
         )
+    if n_rows == 0:
+        m = np.zeros((1, n_cols), dtype=np.int8)    # same nullspace, nonempty keys
 
-    # First-nonzero position runs from the last column to the first so that
-    # candidates appear in global lexicographic order.
-    for p in range(n_cols - 1, -1, -1):
-        base = m[:, p].astype(np.int32)
-        ndigits = n_cols - 1 - p
-        if ndigits == 0:
-            suffix = np.zeros(0, dtype=np.int8) if not base.any() else None
-        elif use_mitm and ndigits > 8:
-            suffix = _scan_block_mitm(base, m[:, p + 1:], ndigits)
-        else:
-            suffix = _scan_block(base, m[:, p + 1:], 3 ** ndigits, ndigits)
-        if suffix is not None:
-            d = np.zeros(n_cols, dtype=np.int8)
-            d[p] = 1
-            d[p + 1:] = suffix
-            return UdWitness(False, d)
-    return UdWitness(True, None)
+    # In a lexicographic table the middle row (3^n - 1) / 2 is d = 0 and the
+    # rows after it are exactly the d whose first nonzero entry is +1.  Sums
+    # stay in int8: the cap keeps n_b, which bounds every |sum|, below 15.
+    d_a = _ternary_digits(0, 3 ** half, half)
+    d_b = _ternary_digits(0, 3 ** n_b, n_b)
+    zero_a, zero_b = len(d_a) // 2, len(d_b) // 2
+    sums_a = d_a @ m[:, :half].T
+    sums_b = -(d_b @ m[:, half:].T)
+    # d_a = 0 sorts first: the first positive d_b with B d_b = 0
+    hit = np.flatnonzero(~sums_b[zero_b + 1:].any(axis=1))
+    if hit.size:
+        return UdWitness(False, np.concatenate((d_a[zero_a], d_b[zero_b + 1 + hit[0]])))
+    # else the first positive d_a that meets some d_b, with the first such d_b
+    hit = np.flatnonzero(np.isin(_row_keys(sums_a[zero_a + 1:]), _row_keys(sums_b)))
+    if not hit.size:
+        return UdWitness(True, None)
+    ia = zero_a + 1 + hit[0]
+    ib = np.flatnonzero((sums_b == sums_a[ia]).all(axis=1))[0]
+    return UdWitness(False, np.concatenate((d_a[ia], d_b[ib])))
 
 
 def _sign_distinct_columns(length: int) -> list[tuple[int, ...]]:
-    """All nonzero ternary columns with first nonzero entry +1, lex order."""
-    cols = []
-    digits = _ternary_digits(0, 3 ** length, length)
-    for row in digits:
-        nz = np.flatnonzero(row)
-        if nz.size and row[nz[0]] == 1:
-            cols.append(tuple(int(v) for v in row))
-    return cols
+    """All nonzero ternary columns with first nonzero entry +1, lex order:
+    the rows after the zero row of the lexicographic table."""
+    return list(map(tuple, _ternary_digits((3 ** length + 1) // 2, 3 ** length, length).tolist()))
 
 
 def max_ud_columns(length: int) -> FtSearchResult:

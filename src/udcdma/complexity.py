@@ -79,9 +79,8 @@ def analytic_G(i: int) -> int:
         total = int(_q_grid(first_chip, -8, 8, 2)[2].sum())
         assert total % 2 == 0
         return total // 2
-    lim = 2 ** i + 2 ** (i - 3) - 1
     kk = _users(i)
-    return sum(comb(kk, j) * (j + 1) for j in range(lim + 1))
+    return sum(comb(kk, j) * (j + 1) for j in range(_half_users(i) + 1))
 
 
 def analytic_H(i: int) -> int:
@@ -93,10 +92,9 @@ def analytic_H(i: int) -> int:
     """
     if i < 3:
         raise ValueError("closed form defined for i >= 3")
-    h = _half_users(i)
-    lim = 2 ** i + 2 ** (i - 3) - 1
+    h = _half_users(i)      # users per half, also the most minority symbols (K-1)/2
     total = 0
-    for j in range(1, lim + 1):
+    for j in range(1, h + 1):
         total += comb(h, ceil((j - 1) / 2)) ** 2 * (j + 1)
         total += 2 * sum(
             comb(h, k) * comb(h, j - k) * (2 * k + 1)
@@ -113,10 +111,9 @@ def analytic_U(i: int) -> int:
     """Number of recursive half-decode invocations over the half-space, i >= 3."""
     if i < 3:
         raise ValueError("closed form defined for i >= 3")
-    h = _half_users(i)
-    lim = 2 ** i + 2 ** (i - 3) - 1
+    h = _half_users(i)      # users per half, also the most minority symbols (K-1)/2
     total = 4 * (2 ** (2 ** i - 1) - 2)
-    for j in range(2, lim + 1):
+    for j in range(2, h + 1):
         total += 2 * (
             comb(h, ceil((j - 1) / 2)) ** 2
             + 2 * sum(comb(h, k) * comb(h, j - k) for k in range(1, floor((j - 1) / 2) + 1))
@@ -130,12 +127,8 @@ def _analytic_T_exact(i: int) -> Fraction:
         raise ValueError("complexity accounting starts at level 2")
     if i == 2:
         return Fraction(sum(REFERENCE_CENSUS_4X8), 256)
-    prev = _analytic_T_exact(i - 1)
-    g_prev = analytic_G(i - 1)
-    scale = 2 ** (2 ** i + 2 ** (i - 3) - 2)
-    t_hat_prev = (scale * prev - g_prev) / (scale - 1)
-    num = analytic_G(i) + analytic_H(i) + analytic_U(i) * t_hat_prev
-    return num / Fraction(2 ** (2 ** (i + 1) + 2 ** (i - 2) - 2))
+    num = analytic_G(i) + analytic_H(i) + analytic_U(i) * t_hat(i - 1)
+    return num / Fraction(2 ** (_users(i) - 1))
 
 
 def analytic_T(i: int) -> float:
@@ -146,7 +139,7 @@ def analytic_T(i: int) -> float:
 def t_hat(i: int) -> Fraction:
     """Average level-i comparisons with the first-call share removed, as used
     one level up in the recursion."""
-    scale = 2 ** (2 ** (i + 1) + 2 ** (i - 2) - 2)
+    scale = 2 ** (_users(i) - 1)
     return (scale * _analytic_T_exact(i) - analytic_G(i)) / (scale - 1)
 
 

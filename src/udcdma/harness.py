@@ -14,7 +14,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -32,7 +32,12 @@ MAX_WORKERS_PER_CPU = 4
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One BER sweep: grid, trial budget, seed, decoders, conventions."""
+    """One BER sweep: grid, trial budget, seed, decoders, amplitude.
+
+    Give exactly one grid: ``snr_db_grid`` (Eb/N0 in dB) or ``sigma_grid``
+    (raw noise sigmas).  ``snr_convention`` records which, as ``"ebn0"`` or
+    ``"raw_sigma"``.
+    """
 
     level: int
     trials_per_point: int
@@ -41,7 +46,7 @@ class SimConfig:
     sigma_grid: Optional[tuple] = None
     decoders: tuple = ("fda", "ml")
     amplitude: float = 1.0
-    snr_convention: str = "ebn0"
+    snr_convention: str = field(init=False)
     workers: int = 1
     min_errors: Optional[int] = None
 
@@ -59,12 +64,11 @@ class SimConfig:
             raise ValueError(f"decoders must be distinct, got {self.decoders}")
         if not (math.isfinite(self.amplitude) and self.amplitude > 0):
             raise ValueError(f"amplitude must be finite and positive, got {self.amplitude}")
-        if self.snr_convention not in ("ebn0", "raw_sigma"):
-            raise ValueError("snr_convention must be 'ebn0' or 'raw_sigma'")
-        if self.snr_convention == "ebn0" and not self.snr_db_grid:
-            raise ValueError("ebn0 convention needs snr_db_grid")
-        if self.snr_convention == "raw_sigma" and not self.sigma_grid:
-            raise ValueError("raw_sigma convention needs sigma_grid")
+        if self.snr_db_grid and self.sigma_grid:
+            raise ValueError("give one grid, snr_db_grid or sigma_grid, not both")
+        if not (self.snr_db_grid or self.sigma_grid):
+            raise ValueError("one grid is required: snr_db_grid or sigma_grid")
+        object.__setattr__(self, "snr_convention", "ebn0" if self.snr_db_grid else "raw_sigma")
         # each worker is a forked process: past a few per CPU they only
         # crowd the machine, and a huge count would exhaust process ids
         most = MAX_WORKERS_PER_CPU * (os.cpu_count() or 1)
@@ -188,8 +192,7 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
     trials_done = [0] * len(points)
 
     _init_state(c, cfg.amplitude, cfg.decoders)
-    pool = multiprocessing.get_context("fork").Pool(cfg.workers) if cfg.workers > 1 else None
-
+    pool = None
     try:
         active = list(range(len(points)))
         next_block = 0
@@ -201,6 +204,10 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
             pieces = [(cfg.rng_seed, p, b, n, points[p][1])
                       for p in active for b, n in zip(wave, sizes)]
             batches = _batches(pieces)
+            # no later wave has more batches than the first: fork no more
+            # workers than it holds, and none for a single batch
+            if next_block == 0 and cfg.workers > 1 and len(batches) > 1:
+                pool = multiprocessing.get_context("fork").Pool(min(cfg.workers, len(batches)))
             if pool is not None:
                 outs = pool.map(_run_batch, batches)
             else:

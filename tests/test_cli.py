@@ -49,6 +49,21 @@ def test_verify_over_bound_is_diagnosed(capsys):
     assert "bound" in err
 
 
+def test_verify_over_table_cap_is_diagnosed(capsys):
+    code, out, err = run_cli(capsys, "verify", "--level", "4", "--bound", "35")
+    assert code == 1
+    assert out == ""
+    assert err == "error: UD scan of a 16x35 matrix needs ~1.26e+04 MiB of tables; cap is 64 MiB\n"
+
+
+def test_verify_cost_past_float_range_is_diagnosed(capsys):
+    # 3^2303 / 2 = 10^1098.509 candidates overflow a float
+    code, _, err = run_cli(capsys, "verify", "--level", "10")
+    assert code == 1
+    assert err == ("error: UD scan over 2303 columns needs ~3.23e+1098 candidates; "
+                   "bound is 17 columns\n")
+
+
 def test_ft_length2(capsys):
     code, out, _ = run_cli(capsys, "ft", "--length", "2")
     assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from udcdma.codebook import (
     UdBoundError,
+    _sign_distinct_columns,
     build_codebook,
     codebook_to_json,
     matrix_to_csv,
@@ -123,11 +124,17 @@ def brute_first_witness(matrix):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 3), st.integers(2, 6), st.randoms(use_true_random=False))
+@given(st.integers(1, 12), st.integers(0, 7), st.randoms(use_true_random=False))
 def test_verify_ud_matches_brute_oracle(rows, cols, rnd):
     m = np.array([[rnd.choice((-1, 0, 1)) for _ in range(cols)] for _ in range(rows)])
     verdict, _ = brute_ud(m)
-    assert verify_ud(m).verdict == verdict
+    _, first = brute_first_witness(m)
+    w = verify_ud(m)
+    assert w.verdict == verdict
+    if verdict:
+        assert w.counterexample is None
+    else:
+        assert w.counterexample.tolist() == list(first)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,6 +159,40 @@ def test_verify_ud_bound_refused():
     big = np.ones((4, 18), dtype=np.int8)
     with pytest.raises(UdBoundError):
         verify_ud(big)
+
+
+def test_verify_ud_table_cap_refused():
+    # within a raised column bound, the half tables would still need ~12.6 GiB
+    with pytest.raises(UdBoundError, match="cap is 64 MiB"):
+        verify_ud(build_codebook(4).entries, bound=35)
+
+
+def test_verify_ud_level3_stacked_on_itself():
+    c3 = build_codebook(3).entries
+    assert verify_ud(np.vstack((c3, c3))).verdict
+
+
+def test_verify_ud_planted_duplicate_column_12x15():
+    m = np.random.default_rng(4).integers(-1, 2, size=(12, 15))
+    m[:, 11] = m[:, 3]
+    w = verify_ud(m)
+    assert not w.verdict
+    assert not (m @ w.counterexample).any()
+    expected = np.zeros(15, dtype=int)
+    expected[3], expected[11] = 1, -1
+    assert w.counterexample.tolist() == expected.tolist()
+
+
+def test_verify_ud_zero_rows():
+    # every d is in the nullspace; the first positive one is e_K
+    assert verify_ud(np.zeros((0, 3))).counterexample.tolist() == [0, 0, 1]
+
+
+@pytest.mark.parametrize("length", [2, 3, 4])
+def test_sign_distinct_columns_lexicographic(length):
+    expected = [d for d in itertools.product((-1, 0, 1), repeat=length)
+                if any(d) and [v for v in d if v][0] == 1]
+    assert _sign_distinct_columns(length) == expected
 
 
 def test_max_ud_columns_lengths_2_and_3():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -41,8 +42,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(level=2, trials_per_point=10, rng_seed=1, snr_db_grid=(1.0,),
                   decoders=("pda",))
-    with pytest.raises(ValueError):
-        SimConfig(level=2, trials_per_point=10, rng_seed=1, snr_convention="ebn0")
+    with pytest.raises(ValueError, match="one grid is required"):
+        SimConfig(level=2, trials_per_point=10, rng_seed=1)
+    with pytest.raises(ValueError, match="not both"):
+        SimConfig(level=2, trials_per_point=10, rng_seed=1, snr_db_grid=(3.0,), sigma_grid=(0.1,))
+
+
+def test_snr_convention_follows_the_grid():
+    assert small_cfg().snr_convention == "ebn0"
+    cfg = small_cfg(snr_db_grid=None, sigma_grid=(0.1,))
+    assert cfg.snr_convention == "raw_sigma"
+    with pytest.raises(TypeError):
+        small_cfg(snr_convention="raw_sigma")
 
 
 def test_worker_count_capped_per_cpu():
@@ -57,10 +68,10 @@ def test_worker_count_capped_per_cpu():
 @pytest.mark.parametrize("grid", [
     dict(snr_db_grid=(1.0, math.nan)),
     dict(snr_db_grid=(math.inf,)),
-    dict(sigma_grid=(0.5, math.nan), snr_convention="raw_sigma"),
-    dict(sigma_grid=(math.inf,), snr_convention="raw_sigma"),
-    dict(sigma_grid=(0.5, -1.0), snr_convention="raw_sigma"),
-    dict(sigma_grid=(-1e-300,), snr_convention="raw_sigma"),
+    dict(sigma_grid=(0.5, math.nan)),
+    dict(sigma_grid=(math.inf,)),
+    dict(sigma_grid=(0.5, -1.0)),
+    dict(sigma_grid=(-1e-300,)),
 ])
 def test_bad_grid_values_rejected(grid):
     with pytest.raises(ValueError, match="finite|>= 0"):
@@ -76,7 +87,7 @@ def test_ml_bound_checked_before_work():
 
 def test_zero_sigma_gives_zero_ber():
     cfg = SimConfig(level=2, trials_per_point=2000, rng_seed=3, sigma_grid=(0.0,),
-                    snr_convention="raw_sigma", decoders=("fda", "ml"))
+                    decoders=("fda", "ml"))
     pts = run_ber_sweep(cfg)
     assert all(p.ber == 0.0 and p.wer == 0.0 for p in pts)
 
@@ -145,7 +156,7 @@ def test_huge_trial_budget_stops_after_its_first_wave():
     # a budget of about 2.4e11 blocks: only block sizes taken per wave keep
     # "run until one error" within memory
     cfg = SimConfig(level=2, trials_per_point=10**15, rng_seed=1, sigma_grid=(0.5,),
-                    snr_convention="raw_sigma", decoders=("fda",), min_errors=1)
+                    decoders=("fda",), min_errors=1)
     (point,) = run_ber_sweep(cfg)
     assert point.trials == NOISE_BLOCK
     assert point.bit_errors >= 1
@@ -182,6 +193,43 @@ def test_batches_hold_at_most_one_noise_block(monkeypatch):
     assert rows == [NOISE_BLOCK, NOISE_BLOCK, 5] * 2
 
 
+def test_one_batch_sweep_starts_no_pool(monkeypatch):
+    def refuse(method):
+        raise AssertionError("a one-batch sweep must not fork")
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", refuse)
+    # 13 points x 300 trials stack into one batch of 3,900 rows
+    pts = run_ber_sweep(small_cfg(level=5, trials_per_point=300, snr_db_grid=tuple(range(13)),
+                                  decoders=("fda",), workers=2))
+    assert len(pts) == 13
+
+
+def test_pool_holds_no_more_workers_than_batches(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: Context)
+    # one point of 5,000 trials: 2 blocks, so 2 batches in the one wave
+    cfg = small_cfg(trials_per_point=5000, snr_db_grid=(6.0,), decoders=("fda",))
+    assert run_ber_sweep(replace(cfg, workers=4)) == run_ber_sweep(cfg)
+    assert sizes == [2]
+
+
 def test_csv_shape_and_header():
     pts = run_ber_sweep(small_cfg(trials_per_point=1000, snr_db_grid=(8.0,),
                                   decoders=("fda",)))
@@ -213,7 +261,7 @@ def test_emit_refuses_empty(tmp_path):
 
 def test_raw_sigma_mode_csv_has_empty_snr_column(tmp_path):
     cfg = SimConfig(level=2, trials_per_point=1000, rng_seed=1, sigma_grid=(0.5,),
-                    snr_convention="raw_sigma", decoders=("fda",))
+                    decoders=("fda",))
     pts = run_ber_sweep(cfg)
     text = curve_to_csv(pts)
     row = text.strip().split("\n")[1]
