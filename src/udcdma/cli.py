@@ -110,17 +110,15 @@ def _cmd_ber(args) -> int:
 def _cmd_complexity(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    empirical = None
-    if args.mode in ("empirical", "both"):
-        empirical = "exhaustive" if args.samples is None else "sampled"
+    empirical = "exhaustive" if args.samples is None else "sampled"
     if args.mode == "empirical":
         c = cb.build_codebook(args.level)
         value = cx.empirical_avg_comparisons(c, mode=empirical, count=args.samples, seed=args.seed)
-        print(json.dumps({"level": args.level, "empirical_T": value}))
-        return 0
-    rep = cx.complexity_report(args.level, empirical=empirical, count=args.samples,
-                               seed=args.seed)
-    print(cx.report_to_json(rep))
+        payload = {"level": args.level, "empirical_T": value}
+    else:
+        payload = cx.complexity_report(args.level, count=args.samples, seed=args.seed,
+                                       empirical=empirical if args.mode == "both" else None)
+    print(json.dumps(payload))
     return 0
 
 

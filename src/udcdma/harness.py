@@ -23,7 +23,7 @@ import numpy as np
 from .channel import (NOISE_BLOCK, ChannelConfig, ebn0_to_sigma, noise_block, random_words,
                       spread_many)
 from .codebook import TernaryCodebook, build_codebook
-from .decoder import ML_MAX_LEVEL, MlDecoder, fda_decode_batch
+from .decoder import MlDecoder, fda_decode_batch
 
 _ROLE_DATA = 0
 _ROLE_NOISE = 1
@@ -178,9 +178,6 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
     early-stop rule on that same ordering.
     """
     c = build_codebook(cfg.level)
-    if "ml" in cfg.decoders and cfg.level > ML_MAX_LEVEL:
-        raise ValueError(f"ml decoder requested at level {cfg.level}; "
-                         f"ML decodes levels up to {ML_MAX_LEVEL}")
     if cfg.snr_convention == "ebn0":
         points = [(float(db), ebn0_to_sigma(db, c, cfg.amplitude)) for db in cfg.snr_db_grid]
     else:

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from udcdma import cli, harness
+from udcdma import codebook as cb
+from udcdma import complexity as cx
 from udcdma.cli import cli_main
 
 
@@ -97,6 +99,20 @@ def test_complexity_both_level2(capsys):
     parsed = json.loads(out)
     assert parsed["G"] == "500"
     assert parsed["empirical_T"] is not None
+
+
+def test_complexity_empirical_exhaustive_level2(capsys):
+    code, out, _ = run_cli(capsys, "complexity", "--level", "2", "--mode", "empirical")
+    assert code == 0
+    assert out == '{"level": 2, "empirical_T": 8.65234375}\n'     # 2215 / 256
+
+
+def test_complexity_empirical_sampled_level2(capsys):
+    code, out, _ = run_cli(capsys, "complexity", "--level", "2", "--mode", "empirical",
+                           "--samples", "1000", "--seed", "3")
+    assert code == 0
+    expected = cx.empirical_avg_comparisons(cb.build_codebook(2), "sampled", 1000, 3)
+    assert json.loads(out) == {"level": 2, "empirical_T": expected}
 
 
 def test_ber_writes_deterministic_csv(tmp_path, capsys):
@@ -212,6 +228,19 @@ def test_huge_worker_count_diagnosed(capsys, monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "workers" in err
+
+
+def test_ml_past_its_maximum_level_diagnosed(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
+    code, out, err = run_cli(capsys, "ber", "--level", "6", "--snr", "0:1:1", "--trials", "10",
+                             "--decoders", "fda,ml")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "level 6" in err
 
 
 @pytest.mark.parametrize("sigma", ["-1", "nan", "0.5,-0.1", "inf"])

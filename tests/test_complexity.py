@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, floor
 
 import pytest
 
+from udcdma import complexity
+from udcdma.cli import cli_main
 from udcdma.codebook import UdBoundError, build_codebook
 from udcdma.complexity import (
     REFERENCE_CENSUS_4X8,
@@ -14,10 +16,55 @@ from udcdma.complexity import (
     comparison_census,
     complexity_report,
     empirical_avg_comparisons,
-    report_to_json,
     t_hat,
     _analytic_T_exact,
 )
+
+
+def _half(i):
+    return 2 ** i + 2 ** (i - 3) - 1
+
+
+def reference_G(i):
+    """The paper's sum: a word with j <= (K-1)/2 minority symbols pays j+1."""
+    return sum(comb(2 * _half(i) + 1, j) * (j + 1) for j in range(_half(i) + 1))
+
+
+def reference_H(i):
+    """The paper's double sum over j minority symbols split (k, j-k)."""
+    h = _half(i)
+    total = 0
+    for j in range(1, h + 1):
+        total += comb(h, ceil((j - 1) / 2)) ** 2 * (j + 1)
+        total += 2 * sum(comb(h, k) * comb(h, j - k) * (2 * k + 1)
+                         for k in range(0, floor((j - 1) / 2) + 1))
+        total += 2 * sum(comb(h, k) * comb(h, j - k - 1) * (2 * k + 2)
+                         for k in range(0, floor((j - 2) / 2) + 1))
+    return total
+
+
+def reference_U(i):
+    """The paper's double sum of recursive half-decode invocations."""
+    h = _half(i)
+    total = 4 * (2 ** (2 ** i - 1) - 2)
+    for j in range(2, h + 1):
+        total += 2 * (
+            comb(h, ceil((j - 1) / 2)) ** 2
+            + 2 * sum(comb(h, k) * comb(h, j - k) for k in range(1, floor((j - 1) / 2) + 1))
+            + 2 * sum(comb(h, k) * comb(h, j - k - 1) for k in range(1, floor((j - 2) / 2) + 1))
+        )
+    return total
+
+
+@pytest.mark.parametrize("level", range(3, 11))
+def test_analytic_G_closed_form_equals_the_sum(level):
+    assert analytic_G(level) == reference_G(level)
+
+
+@pytest.mark.parametrize("level", range(3, 9))
+def test_analytic_H_and_U_single_sums_equal_the_double_sums(level):
+    assert analytic_H(level) == reference_H(level)
+    assert analytic_U(level) == reference_U(level)
 
 
 def test_analytic_G_level2_operational():
@@ -101,9 +148,31 @@ def test_empirical_exhaustive_bound():
         empirical_avg_comparisons(build_codebook(4), mode="exhaustive")
 
 
+def test_sampled_words_drawn_block_by_block_equal_one_draw(monkeypatch):
+    c3 = build_codebook(3)
+    one_block = empirical_avg_comparisons(c3, mode="sampled", count=1000, seed=5)
+    # 300 words a block: 1000 samples span four blocks
+    monkeypatch.setattr(complexity, "_BLOCK_BYTES", 300 * 8 * (c3.cols + c3.rows))
+    assert complexity._block_rows(c3) == 300
+    assert empirical_avg_comparisons(c3, mode="sampled", count=1000, seed=5) == one_block
+
+
+def test_blocks_shrink_only_past_level_3():
+    assert [complexity._block_rows(build_codebook(i)) for i in (2, 3)] == [1 << 16] * 2
+    assert complexity._block_rows(build_codebook(8)) * 8 * (575 + 256) <= complexity._BLOCK_BYTES
+
+
+def test_level_12_report_finishes(capsys):
+    assert cli_main(["complexity", "--level", "12"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["level"] == 12
+    assert all(parsed[term].isdigit() for term in "GHU")
+    assert parsed["T"] > analytic_T(11) > parsed["T_hat_prev"] > 0
+
+
 def test_report_json_round_trip():
     rep = complexity_report(3)
-    parsed = json.loads(report_to_json(rep))
+    parsed = json.loads(json.dumps(rep))
     assert parsed["level"] == 3
     assert parsed["G"] == "513197"
     assert parsed["H"] == "410236"
