@@ -16,6 +16,9 @@ from .harness import SimConfig, curve_to_csv, curve_to_json, emit_results, run_b
 
 # A sweep grid is refused past this many points, before any is built.
 MAX_GRID_POINTS = 10_000
+# A sampled complexity run is refused past this many words, before any
+# codebook is built: at about 570k words/s that is half an hour.
+MAX_SAMPLES = 10 ** 9
 
 
 def _parse_grid(text: str) -> tuple:
@@ -110,6 +113,8 @@ def _cmd_ber(args) -> int:
 def _cmd_complexity(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples is not None and args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples {args.samples} exceeds the maximum {MAX_SAMPLES}")
     empirical = "exhaustive" if args.samples is None else "sampled"
     if args.mode == "empirical":
         c = cb.build_codebook(args.level)

@@ -82,6 +82,12 @@ def check_level(level: int) -> None:
         raise ValueError(f"level {level} exceeds the supported maximum {MAX_LEVEL}")
 
 
+def level_users(level: int) -> int:
+    """The user (column) count of the level-``level`` codebook, level >= 2:
+    2^(i+1) + 2^(i-2) - 1, which is also the count per half one level up."""
+    return (1 << (level + 1)) + (1 << (level - 2)) - 1
+
+
 def build_codebook(level: int) -> TernaryCodebook:
     """Build the recursive UD codebook for the given level.
 

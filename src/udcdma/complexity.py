@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codebook import TernaryCodebook, UdBoundError, build_codebook, check_level
+from .codebook import TernaryCodebook, UdBoundError, build_codebook, check_level, level_users
 from .channel import spread_many
 from .decoder import _all_words, _q_grid, fda_decode_batch
 
@@ -42,14 +42,6 @@ _BLOCK_BYTES = 1 << 24
 # running 0..8).  Their total, 1500 over 256 words, anchors the analytic
 # recursion at level 2.
 REFERENCE_CENSUS_4X8 = (1, 25, 144, 289, 488, 369, 155, 28, 1)
-
-
-def _users(i: int) -> int:
-    return 2 ** (i + 1) + 2 ** (i - 2) - 1
-
-
-def _half_users(i: int) -> int:
-    return 2 ** i + 2 ** (i - 3) - 1
 
 
 def analytic_G(i: int) -> int:
@@ -70,7 +62,7 @@ def analytic_G(i: int) -> int:
         total = int(_q_grid(first_chip, -8, 8, 2)[2].sum())
         assert total % 2 == 0
         return total // 2
-    h = _half_users(i)
+    h = level_users(i - 1)
     return 2 ** (2 * h) + (2 * h + 1) * (4 ** h - comb(2 * h, h)) // 2
 
 
@@ -88,7 +80,7 @@ def _split_sums(i: int) -> tuple[int, int]:
     """
     if i < 3:
         raise ValueError("closed form defined for i >= 3")
-    h = _half_users(i)      # users per half, also the most minority symbols (K-1)/2
+    h = level_users(i - 1)      # users per half, also the most minority symbols (K-1)/2
     total_h, total_u = -1, 4 * (2 ** (2 ** i - 1) - 2)
     ck, below = 1, 0        # C(h, k) and the sum of C(h, m) for m < k
     for k in range(h // 2 + 1):
@@ -121,12 +113,12 @@ def _recursion(level: int) -> list:
     """
     if level < 2:
         raise ValueError("complexity accounting starts at level 2")
-    g, scale = analytic_G(2), 2 ** (_users(2) - 1)
+    g, scale = analytic_G(2), 2 ** (level_users(2) - 1)
     t = Fraction(sum(REFERENCE_CENSUS_4X8), 256)
     rows = [(g, None, None, t, (scale * t - g) / (scale - 1))]
     for i in range(3, level + 1):
         g, (h, u) = analytic_G(i), _split_sums(i)
-        scale = 2 ** (_users(i) - 1)
+        scale = 2 ** (level_users(i) - 1)
         total = g + h + u * rows[-1][4]
         rows.append((g, h, u, total / scale, (total - g) / (scale - 1)))
     return rows

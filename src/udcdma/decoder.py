@@ -28,9 +28,11 @@ are the rules' charges.
 ``MlDecoder`` is the exact minimum-distance reference.  Above level 2 it
 never lists the 2^K hypotheses: it runs min-sum over the recursion tree on
 per-count half residuals, so its cost grows with the square of the user count.
-Each half keeps its least residual per -1 count; the top keeps only the best
-word, one min over the (left count, right count) cells.  A level-2 half has
-no chip for user 4, so it scores the 128 words of the other seven users.
+Minima go up, one tree level at a time: each half keeps only its least
+residual per -1 count.  The word comes down by one descent, which takes at
+each split the argmin for the count it was handed; the rare rows with an
+exact tie on that path are decided again, lexicographically.  A level-2 half
+has no chip for user 4, so it scores the 128 words of the other seven users.
 Level 2 itself is one float64 product and argmin over its 256 words.
 ``MlDecoder.decode`` decodes one vector as a batch of one.
 
@@ -54,7 +56,7 @@ from importlib.resources import files
 
 import numpy as np
 
-from .codebook import TernaryCodebook, build_codebook
+from .codebook import TernaryCodebook, build_codebook, level_users
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -166,65 +168,126 @@ def fda_decode(c: TernaryCodebook, y, amplitude: float = 1.0) -> DecodeOutcome:
     return DecodeOutcome(word=words[0], comparisons=int(comps[0]))
 
 
-def _index_words(idx: np.ndarray, users: int) -> np.ndarray:
-    """Antipodal words of the given indices: bit users-1-j of an index is user j, 1 is +1."""
-    bits = (idx[:, None] >> np.arange(users - 1, -1, -1)) & 1
+def _all_words(users: int) -> np.ndarray:
+    """All 2^K antipodal words in lexicographic order (-1 before +1): bit
+    users-1-j of a word's index is user j, 1 for +1."""
+    bits = (np.arange(1 << users)[:, None] >> np.arange(users - 1, -1, -1)) & 1
     return (2 * bits - 1).astype(np.int8)
 
 
-def _all_words(users: int) -> np.ndarray:
-    """All 2^K antipodal words in lexicographic order (-1 before +1)."""
-    return _index_words(np.arange(1 << users, dtype=np.int64), users)
-
-
-# ML decodes levels 2 to ML_MAX_LEVEL.  A level-6 decode would index its
-# 71-user halves, past the 63 bits of an int64.
+# ML decodes levels 2 to ML_MAX_LEVEL.  The min-sum has no level limit of
+# its own; the cap stays until a level-6 decode has checks in place of the
+# brute force that no level past 3 admits.
 ML_MAX_LEVEL = 5
-# Rows per ML chunk, few enough for a chunk's scores to stay in cache: at
-# level 2 each call writes every chunk's scores into one 256 x 256 float64
-# buffer, 512 KiB, and at level 5 the largest temporaries are the top's
-# 256 x 36 x 36 float64 cells, 2.6 MiB, and as many int64 keys when some of
-# those cells tie.
+# Level 2 scores chunks of this many rows into one 256 x 256 float64 buffer,
+# 512 KiB.  Above it chunks have _ML_CHUNK rows: at level 3 their leaf
+# scores, 129 float64 per leaf and row, take 258 KiB, and stay in cache
+# through both passes.  Fewer rows pay more numpy calls per word; more rows
+# slowed level 5 in warm loops.
 _ML_ROWS = 256
-_NO_INDEX = np.iinfo(np.int64).max
+_ML_CHUNK = 128
 
 # The 256 level-2 words and their spreads, in index order.
 _WORDS8 = _all_words(8)
 _SPREAD8 = _WORDS8 @ build_codebook(2).entries.T.astype(np.int64)
 # User 4's column is zero below the seed's all-ones row, so a level-2 half
-# (rows 1 on) scores only the other seven users.  Their 128 words, each as
-# the 8-bit index with user 4 at -1 (bit 3 clear), grouped by -1 count m
-# (row m), each group in index order and padded with -1 to C(7, 3) = 35.
-_GROUPS7 = np.array([np.pad(np.flatnonzero((_WORDS8[:, 4] < 0) & ((_WORDS8 < 0).sum(axis=1) == m + 1)),
-                            (0, 35 - math.comb(7, m)), constant_values=-1) for m in range(8)])
+# (rows 1 on) scores only the other seven users: the 128 words with user 4 at
+# -1 (bit 3 clear), grouped by the seven users' -1 count m from
+# _LEAF_STARTS[m] on, each group in index order.  _LEAF_GROUPS lists each
+# group's positions, padded with 128, the position of a +inf score, to 35,
+# and _LEAF_GROUP_WORDS the words at those positions as indices.
+_LEAF_WORDS = np.flatnonzero(_WORDS8[:, 4] < 0)
+_LEAF_WORDS = _LEAF_WORDS[np.argsort((_WORDS8[_LEAF_WORDS] < 0).sum(axis=1), kind="stable")]
+_LEAF_STARTS = np.cumsum([0] + [math.comb(7, m) for m in range(8)])
+_LEAF_GROUPS = np.array([np.pad(np.arange(s, e), (0, 35 - (e - s)), constant_values=128)
+                         for s, e in zip(_LEAF_STARTS, _LEAF_STARTS[1:])])
+_LEAF_GROUP_WORDS = np.append(_LEAF_WORDS, 0)[_LEAF_GROUPS]
 
 
-def _split_cells(h: int) -> tuple:
-    """The cells (pair count s = nL + nR, left count nL) of a split with h
-    users per half: h, the index nR - nL + h of each cell's row-1 offset, and
-    its right count, h + 1 (a +inf pad) where nR is out of range."""
-    nl = np.arange(h + 1)[None, :]
-    nr = np.arange(2 * h + 1)[:, None] - nl
-    return h, np.clip(nr - nl + h, 0, 2 * h), np.where((nr >= 0) & (nr <= h), nr, h + 1)
+@functools.cache
+def _ml_leaf(amplitude: float) -> np.ndarray:
+    """The leaf's scores |t|^2 - 2 y.t of the 128 seven-user spreads t as one
+    product, [-2 t, |t|^2] @ [y; 1], with the norm the last inner term; built
+    once per amplitude and shared, never written."""
+    leaf = amplitude * _SPREAD8[_LEAF_WORDS, 1:]
+    return np.hstack((-2.0 * leaf, (leaf ** 2).sum(axis=1, keepdims=True)))
 
 
-# A level-j split has the level-(j-1) user count 2^j + 2^(j-3) - 1 per half.
-_SPLIT_CELLS = {j: _split_cells(2 ** j + 2 ** (j - 3) - 1) for j in range(3, ML_MAX_LEVEL + 1)}
+# A level-j split has h = level_users(j - 1) users per half; its row sL - sR
+# is 2 (nR - nL) at unit amplitude, indexed here by nR - nL + h.
+_OFFSETS = {j: 2.0 * np.arange(-level_users(j - 1), level_users(j - 1) + 1)
+                 for j in range(3, ML_MAX_LEVEL + 1)}
 
 
-def _either(low: np.ndarray, key_clear: np.ndarray, key_set: np.ndarray):
-    """Per -1 count n, the better of count n - 1 with one more user at -1 (a
-    clear bit) and count n with it at +1 (a set bit).
+@functools.cache
+def _layout(level: int) -> tuple:
+    """Where the min-sum nodes of a level-``level`` code sit, left to right.
 
-    ``low`` holds (N, c) least scores per count, the keys the indices that
-    settle a tie; the smaller key wins, and equal keys go to the clear bit.
-    Returns the (N, c + 1) least scores and whether each sets the bit.
+    Returns per split level j (the top is j = level) the chip row of each
+    node's row sL - sR and the word column of its middle user, then the
+    leaves' chip rows, (3, leaves), and word columns, eight per leaf.
     """
-    inf = np.full((len(low), 1), np.inf)
-    none = np.full((len(low), 1), _NO_INDEX)
-    below, above = np.hstack((inf, low)), np.hstack((low, inf))
-    up = (above < below) | ((above == below) & (np.hstack((key_set, none)) < np.hstack((none, key_clear))))
-    return np.where(up, above, below), up
+    rows = {j: [] for j in range(3, level + 1)}
+    mids = {j: [] for j in range(3, level + 1)}
+    leaves = []
+
+    def walk(j, row, col):
+        if j == 2:
+            leaves.append((row, col))
+            return
+        h = level_users(j - 1)
+        rows[j].append(row)
+        mids[j].append(col + h)
+        walk(j - 1, row + 1, col)
+        walk(j - 1, row + (1 << (j - 1)), col + h + 1)
+
+    walk(level, 1, 0)
+    row, col = np.array(leaves).T
+    return ({j: np.array(r) for j, r in rows.items()}, {j: np.array(m) for j, m in mids.items()},
+            row + np.arange(3)[:, None], (col[:, None] + np.arange(8)).ravel())
+
+
+@functools.cache
+def _split_index(h: int) -> tuple:
+    """Per pair count s and left count nL of a split with h users per half:
+    the index nR - nL + h of row 1, and nR, or h + 1 (a +inf pad) where nR
+    is out of range."""
+    nl = np.arange(h + 1)
+    nr = np.arange(2 * h + 1)[:, None] - nl
+    return np.clip(nr - nl + h, 0, 2 * h), np.where((nr >= 0) & (nr <= h), nr, h + 1)
+
+
+def _cells(r1: np.ndarray, low_l: np.ndarray, low_r: np.ndarray, h: int):
+    """Per left count nL, a split's cells (nL, nR) for every right count:
+    row 1 at nR - nL plus both halves' least residuals, in that order."""
+    for nl in range(h + 1):
+        cell = r1[h - nl:2 * h + 1 - nl] + low_l[nl]
+        cell += low_r[:h + 1]
+        yield nl, cell
+
+
+def _halves(n_l: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (2 nodes, N) counts of the halves, left of node k at 2k and
+    right at 2k + 1, from each node's left count and pair count."""
+    counts = np.empty((2 * len(s), s.shape[1]), dtype=s.dtype)
+    counts[0::2] = n_l
+    np.subtract(s, n_l, out=counts[1::2])
+    return counts
+
+
+def _choose(r1: np.ndarray, low: np.ndarray, s: np.ndarray, least: np.ndarray, extra=None):
+    """Per node and column, the left count of the first least cell at pair
+    count ``s`` (nodes, N), and whether another cell there also equals
+    ``least``; ``extra`` is added to every cell when given.  ``low`` holds
+    the halves' least residuals per count and a +inf row."""
+    h = len(low) - 2
+    at_row, at_right = (a[s] for a in _split_index(h))
+    k, c = np.arange(len(s))[:, None, None], np.arange(s.shape[1])[:, None]
+    cell = r1[at_row, k, c] + low[:h + 1, 0::2].transpose(1, 2, 0)
+    cell += low[at_right, 2 * k + 1, c]
+    if extra is not None:
+        cell += extra[..., None]
+    return np.argmin(cell, axis=-1), (cell == least[..., None]).sum(axis=-1) > 1
 
 
 class MlDecoder:
@@ -234,19 +297,29 @@ class MlDecoder:
     sR the sums of the halves and m the middle user, so the squared residual
     splits by row block.  A half's sum is fixed by its -1 count, so each
     half needs only its least residual per count, and those follow by the
-    same split one level down, as least residuals per count of the whole
-    half (min-sum on the recursion tree: Kschischang, Frey and Loeliger,
-    IEEE Trans. IT 2001).  The top needs only the best word, so it scores
-    each pair of half counts (nL, nR) once, with the better middle user for
-    the all-ones row.  The leaf is the level-2 half: user 4 has no chip
-    there, so its table holds the 128 words of the other seven users by
-    count, and user 4 moves a word to the next count.  A residual is scored
-    as ``|t|^2 - 2 y.t``, the squared distance less ``|y|^2``, so large
-    chips keep their differences.  Exact ties go to the lexicographically
-    smallest word, as a sweep over all 2^K words in index order would give.
-    The top picks its middle user on the all-ones row alone, before the rest
-    of the cell is added, so where the two choices' float64 totals differ
-    by rounding only, the smaller all-ones term wins.
+    same split one level down (min-sum on the recursion tree, with traceback:
+    Kschischang, Frey and Loeliger, IEEE Trans. IT 2001).  A residual is
+    scored as ``|t|^2 - 2 y.t``, the squared distance less ``|y|^2``, so large
+    chips keep their differences.
+
+    Minima go up one tree level at a time, with the level's nodes and the
+    chunk's rows on the trailing axes, so each minimum is an elementwise
+    sweep.  The leaf is the level-2 half: user 4 has no chip there, so it
+    scores the 128 words of the other seven users, and user 4 moves a word
+    to the next count.  A split keeps its least cell per pair count
+    s = nL + nR, and per count the better middle user.  The top adds the
+    all-ones row to each pair count's least cell, with the middle user that
+    scores lower on that row alone (an exact tie there goes to -1); rounding
+    is monotone, so that is the least over the cells with the row added.
+
+    Words come down by one descent: the top takes its least pair count,
+    each split the argmin over nL at the count it is handed, and each leaf
+    user 4's bit and the first least word of the chosen seven-user group.
+    Exact ties go to the lexicographically smallest word, as a sweep over
+    all 2^K words in index order would give.  Rows where a choice on the
+    path tied are decided again by ``_least``, which hands each half the
+    counts its tied candidates allow: the least left half wins, then the
+    middle user, then the right half.
 
     Level 2 scores its 256 words in one product and takes one argmin: the
     chips get a unit fifth chip, and the table a fifth row of norms |t|^2,
@@ -268,14 +341,9 @@ class MlDecoder:
             table = amplitude * _SPREAD8
             self._table = np.vstack((-2.0 * table.T, (table ** 2).sum(axis=1)))
             return
-        # leaf scores |t|^2 - 2 y.t = y @ (-2 t) + |t|^2, grouped by count;
-        # a pad scores +inf
-        leaf = amplitude * _SPREAD8[:, 1:]
-        self._leaf = np.vstack((-2.0 * leaf, np.zeros((1, 3))))[_GROUPS7].reshape(-1, 3).T
-        self._leaf_norms = np.append((leaf ** 2).sum(axis=1), np.inf)[_GROUPS7].ravel()
-        # per level j >= 3, the chip offsets of a split's row sL - sR = 2 (nR - nL)
-        self._offsets = {j: amplitude * 2.0 * np.arange(-h, h + 1)
-                         for j, (h, _, _) in _SPLIT_CELLS.items() if j <= c.level}
+        self._leaf = _ml_leaf(amplitude)
+        self._offsets = {j: amplitude * d for j, d in _OFFSETS.items()}
+        self._ones = amplitude * (self.users - 2.0 * np.arange(self.users + 1))
 
     def decode(self, y) -> DecodeOutcome:
         """Decode one chip vector as a batch of one."""
@@ -292,99 +360,150 @@ class MlDecoder:
         _require_finite(ys, "chips must be finite in float32", shown=y64)
         n = len(ys)
         out = np.empty((n, self.users), dtype=np.int8)
-        if self.level == 2:
-            aug = np.ones((n, 5))               # a unit fifth chip adds |t|^2
-            aug[:, :4] = ys
-            scores = np.empty((min(n, _ML_ROWS), 256))
+        if self.level > 2:
+            for lo in range(0, n, _ML_CHUNK):
+                hi = min(lo + _ML_CHUNK, n)
+                out[lo:hi] = self._decode_chunk(np.ascontiguousarray(ys[lo:hi].T, dtype=np.float64))
+            return out
+        aug = np.ones((n, 5))                   # a unit fifth chip adds |t|^2
+        aug[:, :4] = ys
+        scores = np.empty((min(n, _ML_ROWS), 256))
         for lo in range(0, n, _ML_ROWS):
             hi = min(lo + _ML_ROWS, n)
-            if self.level > 2:
-                out[lo:hi] = self._decode_top(ys[lo:hi].astype(np.float64))
-                continue
             chunk = np.matmul(aug[lo:hi], self._table, out=scores[:hi - lo])
             out[lo:hi] = _WORDS8[np.argmin(chunk, axis=1)]
         return out
 
-    def _decode_top(self, y: np.ndarray) -> np.ndarray:
-        """Full chips: the best word over the cells (nL, nR) of the top split.
+    def _up(self, y: np.ndarray) -> dict:
+        """Minima up, for a (rows, N) chunk of chips with one row per column.
 
-        A cell scores the halves' least residuals at counts nL and nR, the
-        row sL - sR and, of the two middle users, the one that scores lower
-        on the all-ones row at total count n = nL + nR + (middle at -1); an
-        exact tie there goes to -1.  Tied cells narrow to the least left
-        index, then the least middle bit and right index.
+        Level 2 gets the leaves' scores, (129, leaves, N) with +inf last, and
+        their least score per seven-user group m at m + 1 of (11, leaves, N),
+        +inf around.  Split level j gets its row 1, (2h+1, nodes, N), its
+        least cell per pair count s at s + 1 of (2h+4, nodes, N), +inf around,
+        and its halves' least residuals per count and a +inf row,
+        (h+2, 2 nodes, N).
         """
-        h, n, cut = (self.users - 1) // 2, len(y), self.rows // 2 + 1
-        low_l, idx_l = self._half(y[:, 2:cut], self.level - 1)
-        low_r, idx_r = self._half(y[:, cut:], self.level - 1)
-        t = self.amplitude * (self.users - 2.0 * np.arange(self.users + 1))
-        ones = t * (t - 2.0 * y[:, :1])                 # all-ones row per count n
-        up = ones[:, :-1] < ones[:, 1:]                 # pair count s: middle +1 (n = s)
-        ones = np.minimum(ones[:, :-1], ones[:, 1:])    # or middle -1 (n = s + 1)
-        d = self._offsets[self.level]
-        window = np.lib.stride_tricks.sliding_window_view
-        # cell (nL, nR) reads row 1 at nR - nL + h and the all-ones row at s = nL + nR
-        cell = window(d * (d - 2.0 * y[:, 1:2]), h + 1, axis=1)[:, ::-1] + low_l[:, :, None]
-        cell += low_r[:, None, :]
-        cell += window(ones, h + 1, axis=1)
-        cell = cell.reshape(n, -1)
-        tied = cell == cell.min(axis=1, keepdims=True)
-        # noisy chips almost never tie two cells, so narrow only a chunk
-        # in which some row has more than one least cell
-        if np.count_nonzero(tied) > n:
-            right = (window(up, h + 1, axis=1).astype(np.int64) << h) | idx_r[:, None, :]
-            for key in (np.repeat(idx_l, h + 1, axis=1), right.reshape(n, -1)):
-                key = np.where(tied, key, _NO_INDEX)
-                tied &= key == key.min(axis=1, keepdims=True)
-        pos = np.argmax(tied, axis=1)
-        rows, n_l, n_r = np.arange(n), pos // (h + 1), pos % (h + 1)
-        return np.hstack((_index_words(idx_l[rows, n_l], h), 2 * up[rows, n_l + n_r, None] - 1,
-                          _index_words(idx_r[rows, n_r], h))).astype(np.int8)
+        rows, _, leaf_rows, _ = _layout(self.level)
+        chips = np.ones((4,) + leaf_rows.shape[1:] + y.shape[1:])
+        chips[:3] = y[leaf_rows]                        # a unit fourth chip adds |t|^2
+        scores = np.empty((129,) + chips.shape[1:])
+        np.matmul(self._leaf, chips.reshape(4, -1), out=scores[:128].reshape(128, -1))
+        scores[128] = np.inf
+        low7 = np.full((11,) + chips.shape[1:], np.inf)
+        for m in range(8):
+            scores[_LEAF_STARTS[m]:_LEAF_STARTS[m + 1]].min(axis=0, out=low7[m + 1])
+        nodes = {2: (scores, low7)}
+        # count n: user 4 at -1 with group n - 1, or at +1 with group n
+        low = np.minimum(low7[:-1], low7[1:])
+        for j in range(3, self.level + 1):
+            h = level_users(j - 1)
+            d = self._offsets[j][:, None, None]
+            r1 = d * (d - 2.0 * y[rows[j]])
+            pair = np.full((2 * h + 4,) + r1.shape[1:], np.inf)
+            for nl, cell in _cells(r1, low[:, 0::2], low[:, 1::2], h):
+                np.minimum(pair[nl + 1:nl + h + 2], cell, out=pair[nl + 1:nl + h + 2])
+            nodes[j] = (r1, pair, low)
+            # count n: middle -1 with s = n - 1, or +1 with s = n
+            low = np.minimum(pair[:-1], pair[1:])
+        return nodes
 
-    def _half(self, y: np.ndarray, level: int):
-        """Least residual of a half-word's chips (its level's rows 1 on) per -1
-        count, and the index of the first word that reaches it."""
-        if level == 2:
-            r = y @ self._leaf
-            r += self._leaf_norms
-            r = r.reshape(len(y), 8, 35)
-            pos = np.argmin(r, axis=2)
-            low = np.take_along_axis(r, pos[:, :, None], axis=2)[:, :, 0]
-            first = _GROUPS7[np.arange(8), pos]
-            # user 4 at -1 adds one to the seven users' count; at +1 it sets bit 3
-            low, up = _either(low, first, first | 8)
-            none = np.full((len(y), 1), _NO_INDEX)
-            return low, np.where(up, np.hstack((first | 8, none)), np.hstack((none, first)))
-        h = _SPLIT_CELLS[level][0]
-        low, left, mid, right = self._split(y, level)
-        return low, (left << (h + 1)) | (mid << h) | right
+    def _decode_chunk(self, y: np.ndarray) -> np.ndarray:
+        """Words of a (rows, N) chunk of chips, one row per column: minima up,
+        then one descent, then ``_least`` on the rows whose path tied."""
+        nodes = self._up(y)
+        _, mids, _, leaf_cols = _layout(self.level)
+        h, n = (self.users - 1) // 2, y.shape[1]
+        t = self._ones[:, None]
+        ones = t * (t - 2.0 * y[0])                     # all-ones row per count n
+        up = ones[:-1] < ones[1:]                       # pair count s: middle +1 (n = s)
+        ones = np.minimum(ones[:-1], ones[1:])          # or middle -1 (n = s + 1)
+        r1, pair, low = nodes[self.level]
+        total = pair[1:2 * h + 2, 0] + ones
+        s = np.argmin(total, axis=0)[None, :]
+        col = np.arange(n)
+        best = total[s, col]
+        tie = (total == best).sum(axis=0) > 1
+        n_l, tied = _choose(r1, low, s, best, ones[s, col])
+        tie |= tied[0]
+        words = np.empty((n, self.users), dtype=np.int8)
+        words[:, h] = 2 * up[s[0], col] - 1
+        counts = _halves(n_l, s)
+        for j in range(self.level - 1, 2, -1):
+            r1, pair, low = nodes[j]
+            k = np.arange(len(counts))[:, None]
+            below, above = pair[counts, k, col], pair[counts + 1, k, col]
+            plus = above < below                        # middle +1, s = n
+            s = counts - 1 + plus
+            n_l, tied = _choose(r1, low, s, np.minimum(below, above))
+            tie |= (tied | (below == above)).any(axis=0)
+            words[:, mids[j]] = (2 * plus - 1).T
+            counts = _halves(n_l, s)
+        scores, low7 = nodes[2]
+        k = np.arange(len(counts))[:, None]
+        below, above = low7[counts, k, col], low7[counts + 1, k, col]
+        tie |= (below == above).any(axis=0)
+        plus = above < below                            # user 4 at +1
+        group = counts - 1 + plus
+        at = _LEAF_GROUPS[group] * counts.size + (k * n + col)[..., None]
+        # the group's first least word, which index order makes its least word
+        pos = np.argmin(scores.reshape(-1).take(at), axis=-1)
+        leaves = _WORDS8[_LEAF_GROUP_WORDS[group, pos] + 8 * plus]
+        words[:, leaf_cols] = leaves.transpose(1, 0, 2).reshape(n, -1)
+        if tie.any():
+            # rare on noisy chips: decide the tied rows again, lexicographically
+            cols = np.flatnonzero(tie)
+            r1, pair, low = nodes[self.level]
+            least = np.empty((h + 1, h + 1, len(cols)), dtype=bool)
+            for nl, cell in _cells(r1[:, 0, cols], low[:, 0, cols], low[:, 1, cols], h):
+                cell += ones[nl:nl + h + 1, cols]
+                np.equal(cell, best[0, cols], out=least[nl])
+            plus = up[:, cols][np.arange(h + 1)[:, None] + np.arange(h + 1)]
+            words[cols] = self._least_pair(nodes, self.level, 0, least & ~plus, least & plus, cols)[0]
+        return words
 
-    def _split(self, y: np.ndarray, level: int):
-        """Min-sum over a level-``level`` split (rows 1 on) for every -1 count n.
+    def _least(self, nodes: dict, j: int, k: int, counts: np.ndarray, cols: np.ndarray):
+        """The lexicographically least word of node k of level j, per column
+        of ``cols``, among the words that reach the node's least residual at a
+        -1 count where the (counts, len(cols)) mask ``counts`` is set.
+        Returns the words and their counts."""
+        if j == 2:
+            scores, low7 = nodes[2]
+            low7 = low7[:, k, cols]
+            pos = np.argmin(scores[:, k, cols][_LEAF_GROUPS], axis=1)
+            first = _LEAF_GROUP_WORDS[np.arange(8)[:, None], pos]
+            # group m with user 4 at -1 serves count m + 1, and at +1 count m
+            clear = counts[1:] & (low7[1:9] <= low7[2:10])
+            set_ = counts[:-1] & (low7[1:9] <= low7[:8])
+            best = np.minimum(np.where(clear, first, 256), np.where(set_, first + 8, 256))
+            words = _WORDS8[best.min(axis=0)]
+            return words, np.count_nonzero(words < 0, axis=1)
+        r1, pair, low = nodes[j]
+        h = len(low) - 2
+        pair = pair[:, k, cols]
+        # pair count s serves count s + 1 with the middle user at -1, and count s at +1
+        minus = counts[1:] & (pair[1:2 * h + 2] <= pair[2:2 * h + 3])
+        plus = counts[:-1] & (pair[1:2 * h + 2] <= pair[:2 * h + 1])
+        tied = np.empty((h + 1, h + 1, len(cols)), dtype=bool)
+        for nl, cell in _cells(r1[:, k, cols], low[:, 2 * k, cols], low[:, 2 * k + 1, cols], h):
+            np.equal(cell, pair[nl + 1:nl + h + 2], out=tied[nl])
+        s = np.arange(h + 1)[:, None] + np.arange(h + 1)
+        return self._least_pair(nodes, j, k, tied & minus[s], tied & plus[s], cols)
 
-        Returns the least residual and, for its smallest minimiser, the left
-        half's index, the middle bit (1 for +1) and the right half's index.
-        """
-        h, at_diff, at_right = _SPLIT_CELLS[level]
-        offsets = self._offsets[level]
-        cut = (y.shape[1] + 1) // 2
-        low_l, idx_l = self._half(y[:, 1:cut], level - 1)
-        low_r, idx_r = self._half(y[:, cut:], level - 1)
-        row = offsets * (offsets - 2.0 * y[:, :1])
-        cell = row[:, at_diff]
-        cell += low_l[:, None, :]
-        cell += np.hstack((low_r, np.full((len(y), 1), np.inf)))[:, at_right]
-        pair = cell.min(axis=2)
-        key = np.where(cell == pair[:, :, None], idx_l[:, None, :], _NO_INDEX)
-        nl = np.argmin(key, axis=2)                         # tied nL: least left index
-        first = np.take_along_axis(idx_l, nl, axis=1)
-        # count n takes s = n - 1 with middle -1, or s = n with middle +1
-        low, mid = _either(pair, first, first)
-        s = np.arange(2 * h + 2) - 1 + mid
-        nl = np.take_along_axis(nl, s, axis=1)
-        nr = np.clip(s - nl, 0, h)          # off the cells only if every residual overflows
-        return (low, np.take_along_axis(idx_l, nl, axis=1),
-                mid.astype(np.int64), np.take_along_axis(idx_r, nr, axis=1))
+    def _least_pair(self, nodes: dict, j: int, k: int, minus: np.ndarray, plus: np.ndarray,
+                    cols: np.ndarray):
+        """The lexicographically least word over candidate cells (nL, nR) of
+        node k of level j, ``minus`` with the middle user at -1 and ``plus``
+        at +1, each an (nL, nR, len(cols)) mask: the least left half first,
+        then the middle user, then the right half.  Returns words and counts."""
+        words_l, n_l = self._least(nodes, j - 1, 2 * k, (minus | plus).any(axis=1), cols)
+        pick = np.arange(len(cols))
+        minus, plus = minus[n_l, :, pick], plus[n_l, :, pick]
+        low_mid = minus.any(axis=1)
+        right = np.where(low_mid[:, None], minus, plus).T
+        words_r, n_r = self._least(nodes, j - 1, 2 * k + 1, right, cols)
+        mid = np.where(low_mid, -1, 1).astype(np.int8)[:, None]
+        return np.hstack((words_l, mid, words_r)), n_l + n_r + low_mid
 
 
 # ---------------------------------------------------------------------------

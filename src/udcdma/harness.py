@@ -147,11 +147,13 @@ def _run_batch(pieces) -> list:
         else:
             decoded = _STATE["ml"].decode_batch(chips)
         wrong = decoded != words
+        # users on rows: a piece's word errors are one sweep over its columns
+        by_user = np.ascontiguousarray(wrong.T)
         for tally, lo, hi in zip(out, bounds, bounds[1:]):
-            w = wrong[lo:hi]
             total_comps = (int(comps[lo:hi].sum()) if dec == "fda"
                            else (hi - lo) * _STATE["ml"].comparisons)
-            tally[dec] = (int(np.count_nonzero(w)), int(w.any(axis=1).sum()), total_comps)
+            tally[dec] = (int(np.count_nonzero(wrong[lo:hi])),
+                          int(np.count_nonzero(by_user[:, lo:hi].any(axis=0))), total_comps)
     return out
 
 

@@ -275,6 +275,17 @@ def test_complexity_samples_below_one_diagnosed(capsys, mode, samples):
 
 
 @pytest.mark.parametrize("mode", ["analytic", "empirical", "both"])
+def test_complexity_samples_past_the_maximum_diagnosed(capsys, mode, monkeypatch):
+    # 10^12 words would run for weeks; the count is refused before any codebook exists
+    monkeypatch.setattr(cb, "build_codebook", None)
+    code, out, err = run_cli(capsys, "complexity", "--level", "3", "--mode", mode,
+                             "--samples", str(10 ** 12))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --samples {10 ** 12} exceeds the maximum {cli.MAX_SAMPLES}\n"
+
+
+@pytest.mark.parametrize("mode", ["analytic", "empirical", "both"])
 def test_complexity_level_past_the_maximum_diagnosed(capsys, mode):
     # the analytic recursion alone would run for minutes at level 13
     code, out, err = run_cli(capsys, "complexity", "--level", "13", "--mode", mode)

@@ -10,6 +10,7 @@ from udcdma.codebook import (
     _sign_distinct_columns,
     build_codebook,
     codebook_to_json,
+    level_users,
     matrix_to_csv,
     max_ud_columns,
     verify_ud,
@@ -49,6 +50,10 @@ def test_level2_matrix_exact():
 def test_dimensions(level, rows, cols):
     c = build_codebook(level)
     assert (c.rows, c.cols) == (rows, cols)
+
+
+def test_level_users_counts_the_built_columns():
+    assert [level_users(i) for i in range(2, 10)] == [build_codebook(i).cols for i in range(2, 10)]
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])

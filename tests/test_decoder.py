@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from udcdma.channel import spread_many
 from udcdma.codebook import build_codebook
 import leaf_oracle
+import ml_pin
 from leaf_oracle import _D_HI, _D_LO, cell_reps, chip_reps, leaf_rules
 from udcdma import decoder
 from udcdma.decoder import (
@@ -25,7 +26,6 @@ from udcdma.decoder import (
     MlDecoder,
     _all_words,
     _decode_block,
-    _index_words,
     _leaf_cells,
     _leaf_table,
     _unit_chips,
@@ -468,39 +468,43 @@ def test_ml_level2_fused_scores_equal_oracle_sum(amplitude):
 
 
 def test_ml_half_tables_match_brute_force():
-    # a level-2 half (the seven-user leaf) and a level-3 half, rows 1 on: per
-    # -1 count, the least score and the first word reaching it, against all
-    # 256 and 2^17 half-words, on half-integer chips where exact ties are common
-    for c in (C2, C3):
-        words = _all_words(c.cols)
-        t = spread_many(c, words)[:, 1:]
+    # the minima that go up from a level-2 half (the seven-user leaf, in a
+    # level-3 code) and a level-3 half (in a level-4 code), per -1 count, and
+    # the least word that reaches each, against all 256 and 2^17 half-words,
+    # on half-integer chips where exact ties are common
+    for half, code in ((C2, C3), (C3, C4)):
+        words = _all_words(half.cols)
+        t = spread_many(half, words)[:, 1:]
         norms = (t ** 2).sum(axis=1)
-        groups = [np.flatnonzero((words < 0).sum(axis=1) == n) for n in range(c.cols + 1)]
-        ys = np.random.default_rng(61).integers(-6, 7, size=(256, c.rows - 1)) / 2.0
-        low, first = MlDecoder(C3)._half(ys, c.level)
+        groups = [np.flatnonzero((words < 0).sum(axis=1) == n) for n in range(half.cols + 1)]
+        ys = np.random.default_rng(61).integers(-6, 7, size=(256, code.rows)) / 2.0
+        ml = MlDecoder(code)
+        nodes = ml._up(np.ascontiguousarray(ys.T))
+        low = nodes[code.level][2][:half.cols + 1, 0]       # the top's left half
+        least = []
+        for n in range(half.cols + 1):
+            only = np.arange(half.cols + 1)[:, None] == np.full(len(ys), n)
+            got, counts = ml._least(nodes, half.level, 0, only, np.arange(len(ys)))
+            assert (counts == n).all()
+            least.append(got)
         for lo in range(0, len(ys), 32):
-            scores = norms - 2.0 * (ys[lo:lo + 32] @ t.T)
+            scores = norms - 2.0 * (ys[lo:lo + 32, 2:half.rows + 1] @ t.T)
             for n, g in enumerate(groups):
-                assert np.array_equal(low[lo:lo + 32, n], scores[:, g].min(axis=1))
-                assert np.array_equal(first[lo:lo + 32, n], g[np.argmin(scores[:, g], axis=1)])
+                assert np.array_equal(low[n, lo:lo + 32], scores[:, g].min(axis=1))
+                assert np.array_equal(least[n][lo:lo + 32], words[g[np.argmin(scores[:, g], axis=1)]])
 
 
 def _count_wise_top(ml, y):
-    """The top as a min over -1 counts n: t(n) (t(n) - 2 y0) plus ``_split``'s
-    least residual of rows 1 on, narrowed to the least left index, then
-    middle bit, then right index; the reference for the min over cells."""
-    h = (ml.users - 1) // 2
-    rest, left, mid, right = ml._split(y[:, 1:], ml.level)
-    t = ml.amplitude * (ml.users - 2.0 * np.arange(ml.users + 1))
-    total = t * (t - 2.0 * y[:, :1]) + rest
-    tied = total == total.min(axis=1, keepdims=True)
-    for key in (left, mid, right):
-        key = np.where(tied, key, np.iinfo(np.int64).max)
-        tied &= key == key.min(axis=1, keepdims=True)
-    best = np.argmax(tied, axis=1)[:, None]
-    pick = lambda a: np.take_along_axis(a, best, axis=1)[:, 0]
-    return np.hstack((_index_words(pick(left), h), 2 * pick(mid)[:, None] - 1,
-                      _index_words(pick(right), h)))
+    """The top as a min over -1 counts n: t(n) (t(n) - 2 y0) plus the least
+    residual of rows 1 on at count n, from the minima that go up, and the
+    lexicographically least word over the least counts; the reference for
+    the min over cells."""
+    nodes = ml._up(np.ascontiguousarray(y.T))
+    pair = nodes[ml.level][1][:, 0]
+    rest = np.minimum(pair[:-1], pair[1:])[:ml.users + 1]
+    t = ml.amplitude * (ml.users - 2.0 * np.arange(ml.users + 1))[:, None]
+    total = t * (t - 2.0 * y[:, 0]) + rest
+    return ml._least(nodes, ml.level, 0, total == total.min(axis=0), np.arange(len(y)))[0]
 
 
 @pytest.mark.parametrize("kind", ["noisy", "lattice"])
@@ -512,6 +516,43 @@ def test_ml_top_matches_count_wise_top(level, kind):
         y = (amplitude * ys).astype(np.float32).astype(np.float64)
         ml = MlDecoder(c, amplitude)
         assert np.array_equal(ml.decode_batch(y), _count_wise_top(ml, y))
+
+
+@pytest.mark.parametrize("kind", ml_pin.KINDS)
+@pytest.mark.parametrize("level", ml_pin.LEVELS)
+def test_ml_matches_pinned_words(level, kind):
+    # tests/data/ml_golden.npz holds the words of the earlier min-sum over
+    # packed half indices, which this one must reproduce, ties included
+    pin = np.load(ml_pin.PIN)
+    for amplitude in ml_pin.AMPLITUDES:
+        words = MlDecoder(build_codebook(level), amplitude).decode_batch(
+            ml_pin.inputs(level, kind, amplitude))
+        assert np.array_equal(np.packbits(words > 0, axis=1), pin[ml_pin.key(level, kind, amplitude)])
+
+
+@pytest.mark.parametrize("level", ml_pin.LEVELS)
+def test_ml_ties_alone_take_the_lexicographic_path(level, monkeypatch):
+    # noisy rows never tie exactly, so the descent decides them alone; a
+    # midpoint between two codewords ties, and the lexicographic pass decides
+    # it, as the brute-force oracle does at level 3
+    tied = []
+    least_pair = MlDecoder._least_pair
+
+    def spy(self, nodes, j, k, minus, plus, cols):
+        if j == self.level:
+            tied.extend(cols)
+        return least_pair(self, nodes, j, k, minus, plus, cols)
+
+    monkeypatch.setattr(MlDecoder, "_least_pair", spy)
+    c = build_codebook(level)
+    ml = MlDecoder(c)
+    ml.decode_batch(ml_pin.inputs(level, "noisy", 1.0))
+    assert tied == []
+    ys = ml_pin.inputs(level, "midpoint", 1.0)
+    words = ml.decode_batch(ys)
+    assert len(tied) > len(ys) // 2
+    if level == 3:
+        assert np.array_equal(words, ml_oracle(c, ys))
 
 
 @pytest.mark.parametrize("level", [4, 5])

@@ -14,6 +14,9 @@ SRC = Path(udcdma.__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args, first_line", [
     ("ber_gap.py", "--level 2 --trials 4096 --snr-lo 8 --snr-hi 14 --step 2 --workers 2",
      "  8.00 dB  fda  ber="),
+    # the two-split ML of level 4, end to end through the script
+    ("ber_gap.py", "--level 4 --trials 512 --snr-lo 8 --snr-hi 12 --step 4 --workers 2",
+     "  8.00 dB  fda  ber="),
     ("complexity_table.py", "--samples 1000",
      f"{'level':>5} {'users':>6} {'analytic':>10} {'measured':>10} {'mode':>12}"),
 ])
