@@ -67,6 +67,13 @@ def ebn0_to_sigma(ebn0_db: float, c: TernaryCodebook, amplitude: float = 1.0) ->
     Convention: Eb = A^2 * mean signature energy, N0 = 2 sigma^2, so
     sigma = sqrt(A^2 * w / (2 * 10^(dB/10))) with w the mean squared column
     norm.  Signature energies are unequal across users; w averages them.
+    Raises ValueError where the formula leaves the float range.
     """
     w = mean_signature_energy(c)
-    return float(np.sqrt(amplitude**2 * w / (2.0 * 10.0 ** (ebn0_db / 10.0))))
+    try:
+        sigma = float(np.sqrt(amplitude**2 * w / (2.0 * 10.0 ** (ebn0_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise ValueError(f"Eb/N0 {ebn0_db} dB at amplitude {amplitude} has no finite noise sigma")
+    return sigma

@@ -28,7 +28,7 @@ import numpy as np
 
 from .codebook import TernaryCodebook, UdBoundError, build_codebook, check_level, level_users
 from .channel import spread_many
-from .decoder import _all_words, _q_grid, fda_decode_batch
+from .decoder import _all_words, _ceil, _q_grid, fda_decode_batch
 
 EXHAUSTIVE_BOUND = 17
 # Words decoded per batch call, which bounds the decoder's scratch memory.
@@ -59,7 +59,7 @@ def analytic_G(i: int) -> int:
         c2 = build_codebook(2)
         words = _all_words(8)
         first_chip = spread_many(c2, words)[:, 0]
-        total = int(_q_grid(first_chip, -8, 8, 2)[2].sum())
+        total = int(_q_grid(_ceil(first_chip, 10), -8, 8)[1].sum())
         assert total % 2 == 0
         return total // 2
     h = level_users(i - 1)

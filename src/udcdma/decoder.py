@@ -1,13 +1,18 @@
 """Comparison-only recursive decoder for the ternary codebooks, plus exact ML.
 
-The fast decoder works on whole blocks of chip vectors at once.  It reads the
-number of -1s in each word off the first chip, the left/right split off the
-second chip, and recurses on the two halves, whose first chips are then
-known exactly; the 4x8 seed matrix is the leaf (``fda_decode_batch8``).  The
-only arithmetic charged to the complexity budget is the threshold
-comparisons inside the constellation quantizer; every other step is index
-bookkeeping.  ``fda_decode`` decodes one vector as a block of one.  There
-is one quantizer, ``_q_grid``, and it works on arrays.
+The fast decoder works on whole blocks of chip vectors at once, one pass per
+level of the recursion tree (``_layout``).  It reads the number of -1s in
+each word off the first chip; then each level quantizes the left/right split
+row sL - sR of all its nodes together, which hands each half its -1 count,
+so no half pays a first quantize, and fixes each node's middle user (+1
+exactly when the halves' counts add up to the node's).  All leaves of the
+block, copies of the 4x8 seed matrix, then decode in one call of
+``fda_decode_batch8``.  The only arithmetic charged to the complexity budget
+is the threshold comparisons inside the constellation quantizer; every other
+step is index bookkeeping.  ``fda_decode`` decodes one vector as a block of
+one.  There is one quantizer, ``_q_grid``.  Its grids have step 2 and
+integer midpoints, so it works on integers: the statistics' ceilings, from
+one rounding pass of the block (``_ceil``) that every quantize reads.
 
 The leaf looks its answer up.  Each of its four chips falls in one cell of
 a fixed set of integer cuts (9, 9, 6 and 8 cells), and the leaf's
@@ -40,10 +45,9 @@ Quantizer conventions used throughout (all validated exhaustively by the
 noiseless round-trip suite):
 
 * nearest-point with ties resolved toward the low end of the grid, decided
-  by exact comparisons with the midpoints, so a statistic one ulp past a
-  midpoint goes to the nearer point;
-* ``zeta`` is the 1-based index of the chosen point counted from the high
-  end; scan-range formulas convert to the low-end rank where needed;
+  exactly by the statistic's ceiling against the integer midpoints, so a
+  statistic one ulp past a midpoint goes to the nearer point;
+* the chosen point is named by its index from the low end of the grid;
 * comparison cost is the rank from the nearer end of the grid (both ends
   cost one test, deeper points cost their inward rank).
 """
@@ -59,6 +63,7 @@ import numpy as np
 from .codebook import TernaryCodebook, build_codebook, level_users
 
 _FLOAT_MAX = np.finfo(np.float64).max
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -69,32 +74,50 @@ class DecodeOutcome:
     comparisons: int
 
 
-def _q_grid(y: np.ndarray, lo, hi, step: int):
-    """Nearest-point quantize onto {hi, hi-step, ..., lo}, elementwise.
+def _ceil(y: np.ndarray, limit: int) -> np.ndarray:
+    """The rounding pass that every quantize reads: ceil(y) as int64, clipped
+    to [-limit, limit] while still a float, so every finite statistic lands."""
+    c = np.ceil(y)
+    np.maximum(c, -limit, out=c)
+    np.minimum(c, limit, out=c)
+    return c.astype(np.int64)
 
-    Returns (z, zeta, comparisons).  The search walks inward from both grid
-    ends, so either end is settled by a single test and an interior point by
-    its rank from the nearer end: a word with j minority symbols pays j+1
-    tests at the first decoder quantize, and exactly 1 when the first chip
-    saturates.  The grid index is clipped while still a float, so any finite
-    or infinite statistic saturates at a grid end.  The index counts the
-    midpoints below ``y``.  Midpoints are half-integers, so rounding
-    ``y - h`` never crosses one; it can only land on one from above, which
-    the exact test against that midpoint undoes.
+
+def _q_grid(c: np.ndarray, lo, hi):
+    """Nearest-point quantize onto {lo, lo+2, ..., hi}, elementwise, from the
+    statistics' ceilings ``c`` (``_ceil``); ``lo`` and ``hi`` are integers.
+
+    Returns (i, comparisons): the chosen point is lo + 2i.  The search walks
+    inward from both grid ends, so either end is settled by a single test
+    and an interior point by its rank from the nearer end: a word with j
+    minority symbols pays j+1 tests at the first decoder quantize, and
+    exactly 1 when the first chip saturates.  The grid's midpoints lo+1,
+    lo+3, ... are integers, so the midpoints below a statistic are those
+    below its ceiling, (c - lo) // 2 of them, clipped to the grid.  A
+    statistic on a midpoint therefore goes to the lower point, and one an ulp
+    above it, whose ceiling is one more, to the upper point.
     """
-    m = (hi - lo) // step + 1
-    h = lo + step / 2                       # the lowest midpoint
-    i = np.ceil((y - h) / step)
-    i += y > h + step * i
-    i_lo = np.minimum(np.maximum(i, 0), m - 1).astype(np.int64)
-    z = lo + step * i_lo
-    zeta = m - i_lo
-    comps = np.minimum(zeta, m + 1 - zeta)
-    return z, zeta, comps
+    top = (hi - lo) >> 1                        # the index of hi
+    i = c - lo
+    i >>= 1
+    np.maximum(i, 0, out=i)
+    np.minimum(i, top, out=i)
+    comps = top - i
+    np.minimum(comps, i, out=comps)
+    comps += 1
+    return i, comps
 
 
 def _require_finite(y: np.ndarray, what: str, shown=None) -> None:
-    """Raise one ValueError naming the first non-finite entry of the 2-D ``y``."""
+    """Raise one ValueError naming the first non-finite entry of the 2-D ``y``.
+
+    A finite sum proves every entry finite, so only a block whose sum is not
+    (a bad entry, or finite entries whose sum overflows) is scanned entry by
+    entry.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(np.add.reduce(y, axis=None)):
+            return
     bad = ~np.isfinite(y)
     if bad.any():
         row, col = np.argwhere(bad)[0]
@@ -117,35 +140,86 @@ def _unit_chips(ys, rows: int, amplitude: float) -> np.ndarray:
         return np.clip(y / amplitude, -_FLOAT_MAX, _FLOAT_MAX)
 
 
+@functools.cache
+def _layout(level: int) -> tuple:
+    """Where the tree nodes of a level-``level`` code sit, left to right; the
+    fast decoder and the min-sum ML both walk them.
+
+    Returns per split level j (the top is j = level) the chip row of each
+    node's row sL - sR and the word column of its middle user, then the
+    leaves' chip rows, (3, leaves), and word columns, eight per leaf.
+    """
+    rows = {j: [] for j in range(3, level + 1)}
+    mids = {j: [] for j in range(3, level + 1)}
+    leaves = []
+
+    def walk(j, row, col):
+        if j == 2:
+            leaves.append((row, col))
+            return
+        h = level_users(j - 1)
+        rows[j].append(row)
+        mids[j].append(col + h)
+        walk(j - 1, row + 1, col)
+        walk(j - 1, row + (1 << (j - 1)), col + h + 1)
+
+    walk(level, 1, 0)
+    row, col = np.array(leaves).T
+    return ({j: np.array(r) for j, r in rows.items()}, {j: np.array(m) for j, m in mids.items()},
+            row + np.arange(3)[:, None], (col[:, None] + np.arange(8)).ravel())
+
+
 def _decode_block(y: np.ndarray, users: int, n):
-    """Recursive fast decode of an (N, rows) block of unit-amplitude chips.
+    """Fast decode of an (N, rows) block of unit-amplitude chips, one pass per
+    tree level over the nodes of ``_layout``.
 
     ``n`` holds each row's known -1 count, or None to read it off chip 0.
-    Children get their counts this way, so they pay no first quantize.
+    Each split level quantizes the row sL - sR of all its nodes at once, as
+    (N, nodes) integers from one rounding pass of the block; its nodes' halves
+    get their counts this way, so they pay no first quantize, and the middle
+    user is +1 exactly when the halves' counts add up to the node's.  All
+    2^(level-2) leaves then decode in one call of ``fda_decode_batch8``.
     """
-    if users == 8:
-        words, comps = fda_decode_batch8(y)
-        # the leaf quantizes the exact first chip 8-2n; that test is not charged
-        return words, comps if n is None else comps - np.minimum(n + 1, 9 - n)
+    level = y.shape[1].bit_length() - 1
+    if level == 2 and n is None:
+        return fda_decode_batch8(y)             # the block is one leaf
+    rows, mids, leaf_rows, leaf_cols = _layout(level)
+    c = _ceil(y, users + 2)                     # every grid lies in [-users, users]
     if n is None:
-        z1, _, comps = _q_grid(y[:, 0], -users, users, 2)
-        n = (users - z1) // 2
+        i, comps = _q_grid(c[:, 0], -users, users)
+        n = users - i
     else:
-        z1, comps = users - 2 * n, 0
-    # a saturated row (bound 0) is settled by its count: its single-point
-    # split costs nothing and its children saturate too
-    bound = users - np.abs(z1)
-    z2, _, c2 = _q_grid(y[:, 1], -bound, bound, 2)
-    comps = comps + np.where(bound > 0, c2, 0)
-    half = (users - 1) // 2
-    n_l = np.clip((2 * n - z2) // 4, np.maximum(0, n - half - 1), np.minimum(half, n))
-    n_r = np.clip((2 * n + z2) // 4, np.maximum(0, n - n_l - 1), np.minimum(half, n - n_l))
-    cut = y.shape[1] // 2 + 1
-    left, c_l = _decode_block(np.column_stack((half - 2 * n_l, y[:, 2:cut])), half, n_l)
-    right, c_r = _decode_block(np.column_stack((half - 2 * n_r, y[:, cut:])), half, n_r)
-    mid = np.where(z1 > left.sum(axis=1) + right.sum(axis=1), 1, -1)
-    words = np.hstack((left, mid[:, None], right)).astype(np.int8)
-    return words, comps + c_l + c_r
+        comps = 0
+    counts = n[:, None]
+    words = np.empty((len(y), users), dtype=np.int8)
+    for j in range(level, 2, -1):
+        bound = 2 * np.minimum(counts, level_users(j) - counts)
+        i, q = _q_grid(c[:, rows[j]], -bound, bound)
+        # a saturated node (bound 0) is settled by its count: its one-point
+        # split costs nothing, and its halves saturate too
+        q -= bound == 0
+        comps = comps + q.sum(axis=1)
+        # the split's point is z = 2i - bound, and the halves hold (2n -+ z) // 4
+        # -1s; both counts always lie in their feasible ranges, so need no clip
+        z = 2 * i - bound
+        twice = 2 * counts
+        halves = np.empty((len(y), 2 * counts.shape[1]), dtype=np.int64)
+        n_l, n_r = halves[:, 0::2], halves[:, 1::2]
+        np.subtract(twice, z, out=n_l)
+        n_l >>= 2
+        np.add(twice, z, out=n_r)
+        n_r >>= 2
+        # the middle user is -1 exactly when the halves hold one -1 fewer than n
+        words[:, mids[j]] = 2 * (n_l + n_r - counts) + 1
+        counts = halves
+    chips = np.empty(counts.shape + (4,))
+    chips[..., 0] = 8 - 2 * counts
+    chips[..., 1:] = y[:, leaf_rows.T]
+    leaf, c_leaf = fda_decode_batch8(chips.reshape(-1, 4))
+    words[:, leaf_cols] = leaf.reshape(len(y), len(leaf_cols))
+    # the leaf quantizes the exact first chip 8-2n; that test is not charged
+    c_leaf = c_leaf.reshape(counts.shape) - np.minimum(counts + 1, 9 - counts)
+    return words, comps + c_leaf.sum(axis=1)
 
 
 def fda_decode_batch(c: TernaryCodebook, ys, amplitude: float = 1.0):
@@ -180,12 +254,14 @@ def _all_words(users: int) -> np.ndarray:
 # brute force that no level past 3 admits.
 ML_MAX_LEVEL = 5
 # Level 2 scores chunks of this many rows into one 256 x 256 float64 buffer,
-# 512 KiB.  Above it chunks have _ML_CHUNK rows: at level 3 their leaf
-# scores, 129 float64 per leaf and row, take 258 KiB, and stay in cache
-# through both passes.  Fewer rows pay more numpy calls per word; more rows
-# slowed level 5 in warm loops.
+# 512 KiB.  Above it a level-j chunk has _ML_CHUNK[j] rows, whose leaf scores
+# take 129 float64 per leaf and row.  Fewer rows pay more numpy calls per
+# word.  At level 3 a 384-row chunk, one for a three-point sweep of 128
+# trials, took 3.61 against 3.91 us per word for 128-row chunks, timed right
+# after a cache-clearing probe (1.69 against 2.47 warm); at levels 4 and 5
+# no chunk size measured clearly better than 128 rows.
 _ML_ROWS = 256
-_ML_CHUNK = 128
+_ML_CHUNK = {3: 384, 4: 128, 5: 128}
 
 # The 256 level-2 words and their spreads, in index order.
 _WORDS8 = _all_words(8)
@@ -217,34 +293,6 @@ def _ml_leaf(amplitude: float) -> np.ndarray:
 # is 2 (nR - nL) at unit amplitude, indexed here by nR - nL + h.
 _OFFSETS = {j: 2.0 * np.arange(-level_users(j - 1), level_users(j - 1) + 1)
                  for j in range(3, ML_MAX_LEVEL + 1)}
-
-
-@functools.cache
-def _layout(level: int) -> tuple:
-    """Where the min-sum nodes of a level-``level`` code sit, left to right.
-
-    Returns per split level j (the top is j = level) the chip row of each
-    node's row sL - sR and the word column of its middle user, then the
-    leaves' chip rows, (3, leaves), and word columns, eight per leaf.
-    """
-    rows = {j: [] for j in range(3, level + 1)}
-    mids = {j: [] for j in range(3, level + 1)}
-    leaves = []
-
-    def walk(j, row, col):
-        if j == 2:
-            leaves.append((row, col))
-            return
-        h = level_users(j - 1)
-        rows[j].append(row)
-        mids[j].append(col + h)
-        walk(j - 1, row + 1, col)
-        walk(j - 1, row + (1 << (j - 1)), col + h + 1)
-
-    walk(level, 1, 0)
-    row, col = np.array(leaves).T
-    return ({j: np.array(r) for j, r in rows.items()}, {j: np.array(m) for j, m in mids.items()},
-            row + np.arange(3)[:, None], (col[:, None] + np.arange(8)).ravel())
 
 
 @functools.cache
@@ -333,6 +381,13 @@ class MlDecoder:
             raise ValueError(f"ML decodes levels 2 to {ML_MAX_LEVEL}, not level {c.level}")
         if not (math.isfinite(amplitude) and amplitude > 0):
             raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
+        # every score term t_r (t_r - 2 y_r) has |t_r| <= amplitude K and
+        # |y_r| <= the float32 maximum, so rows such terms bound every score
+        # and every partial sum of one
+        chip = amplitude * c.cols
+        if not c.rows * chip * (chip + 2.0 * _FLOAT32_MAX) < _FLOAT_MAX:
+            raise ValueError(f"amplitude {amplitude} puts level-{c.level} ML scores "
+                             f"past the float range")
         self.level, self.rows, self.users = c.level, c.rows, c.cols
         self.amplitude = amplitude
         self.comparisons = 1 << c.cols
@@ -361,8 +416,9 @@ class MlDecoder:
         n = len(ys)
         out = np.empty((n, self.users), dtype=np.int8)
         if self.level > 2:
-            for lo in range(0, n, _ML_CHUNK):
-                hi = min(lo + _ML_CHUNK, n)
+            step = _ML_CHUNK[self.level]
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
                 out[lo:hi] = self._decode_chunk(np.ascontiguousarray(ys[lo:hi].T, dtype=np.float64))
             return out
         aug = np.ones((n, 5))                   # a unit fifth chip adds |t|^2
@@ -541,7 +597,8 @@ def _leaf_cells(y: np.ndarray) -> tuple:
     r = np.empty(y.shape)
     np.ceil(y[:3], out=r[:3])
     np.floor(y[3], out=r[3])
-    np.clip(r, -9, 9, out=r)
+    np.maximum(r, -9, out=r)
+    np.minimum(r, 9, out=r)
     idx = r.astype(np.intp)
     idx += 9
     return tuple(steps[i] for steps, i in zip(_LEAF_STEPS, idx))
@@ -562,5 +619,10 @@ def fda_decode_batch8(ys: np.ndarray, amplitude: float = 1.0):
     users within each side) and the script that writes the table live in
     ``tests/leaf_oracle.py``.  Returns (words, comparisons).
     """
-    cell = _leaf_table()[_leaf_cells(_unit_chips(ys, 4, amplitude))]
+    table = _leaf_table()
+    flat, *rest = _leaf_cells(_unit_chips(ys, 4, amplitude))
+    for size, cell in zip(table.shape[1:], rest):      # the cells' flat index
+        flat *= size
+        flat += cell
+    cell = table.reshape(-1, 2).take(flat, axis=0)
     return _WORDS8.take(cell[:, 0], axis=0), cell[:, 1].astype(np.int64)

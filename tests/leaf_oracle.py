@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from udcdma.decoder import _LEAF_CUTS, _q_grid
+from udcdma.decoder import _LEAF_CUTS, _ceil, _q_grid
 
 TABLE = Path(__file__).resolve().parents[1] / "src" / "udcdma" / "leaf8.npy"
 
@@ -27,6 +27,18 @@ TABLE = Path(__file__).resolve().parents[1] / "src" / "udcdma" / "leaf8.npy"
 # _D_LO = -round(3 (n_l+1) / 5), _D_HI = round(3 n_l / 5) mod 2, halves up.
 _D_LO = np.array([-1, -1, -2, -2, -3], dtype=np.int64)
 _D_HI = np.array([0, 1, 1, 0, 0], dtype=np.int64)
+# Statistics past this are rounded as if on it; it lies beyond every grid here.
+_LIMIT = 2.0 ** 40
+
+
+def quantize(y, lo, hi, step: int = 2):
+    """``_q_grid`` on float statistics, grid {hi, hi-step, ..., lo}: the
+    rounding pass, then the integer quantize.  A step-1 grid is quantized in
+    doubled units, where its midpoints are odd integers; doubling is exact.
+    Returns (z, zeta, comparisons): the point, and its 1-based index from hi."""
+    s = 2 // step
+    i, comps = _q_grid(_ceil(s * np.clip(y, -_LIMIT, _LIMIT), 2 * _LIMIT), s * lo, s * hi)
+    return lo + step * i, (hi - lo) // step + 1 - i, comps
 
 
 def leaf_rules(y: np.ndarray):
@@ -41,14 +53,14 @@ def leaf_rules(y: np.ndarray):
     """
     nrows = y.shape[0]
 
-    z1, _, comps = _q_grid(y[:, 0], -8, 8, 2)
+    z1, _, comps = quantize(y[:, 0], -8, 8)
     sat = np.abs(z1) == 8
     n = (8 - z1) // 2
 
     bound = 8 - np.abs(z1)
     lo2 = np.where(z1 < 0, -bound - 2, -bound)
     hi2 = np.where(z1 < 0, bound - 2, bound)
-    z2, _, c2 = _q_grid(y[:, 1] - 1.0, lo2, hi2, 2)
+    z2, _, c2 = quantize(y[:, 1] - 1.0, lo2, hi2)
     comps += np.where(sat, 0, c2)
 
     n_l = (2 * n - z2) // 4
@@ -73,7 +85,7 @@ def leaf_rules(y: np.ndarray):
     right = sat_l & ~sat_r & ~sat
     if right.any():
         stat = half3 - m2 + m1
-        zr, _, cr = _q_grid(stat, -1, 1, 1)
+        zr, _, cr = quantize(stat, -1, 1, 1)
         rk2 = (zr + n_r) >> 1
         rk3 = zr + n_r - 2 * rk2
         rk1 = n_r - rk2 - rk3
@@ -85,7 +97,7 @@ def leaf_rules(y: np.ndarray):
     # left-side counts with the right side saturated (centre offset -k1+k2 = 0)
     left = ~sat_l & sat_r & ~sat
     if left.any():
-        zl, _, cl = _q_grid(half3, _D_LO[n_l], _D_HI[n_l], 1)
+        zl, _, cl = quantize(half3, _D_LO[n_l], _D_HI[n_l], 1)
         s = zl - k2 + k1 + n_l
         lm2 = s >> 1
         lm3 = s - 2 * lm2
@@ -109,7 +121,7 @@ def leaf_rules(y: np.ndarray):
     if both.any():
         d_lo = _D_LO[n_l]
         d_hi = _D_HI[n_l]
-        zs, zeta_s, cs = _q_grid(half3, d_lo - 1, d_hi + 1, 1)
+        zs, zeta_s, cs = quantize(half3, d_lo - 1, d_hi + 1, 1)
         npts = d_hi - d_lo + 3
         rank_lo = npts - zeta_s + 1
         eta = rank_lo + d_lo - d_hi - 1

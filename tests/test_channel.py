@@ -135,6 +135,21 @@ def test_ebn0_monotone_and_limit():
     assert ebn0_to_sigma(200.0, C2) < 1e-9
 
 
+@pytest.mark.parametrize("db, amplitude", [(8.0, 1e160), (4000.0, 1.0), (-4000.0, 1.0),
+                                           (-3000.0, 1e300)])
+def test_ebn0_past_the_float_range_refused(db, amplitude):
+    # amplitude**2 or 10**(dB/10) overflows, or the quotient does
+    with pytest.raises(ValueError, match="no finite noise sigma"):
+        ebn0_to_sigma(db, C2, amplitude)
+
+
+def test_ebn0_formula_unchanged_where_accepted():
+    for db, amplitude in ((3.0, 1.0), (-300.0, 1e-100), (300.0, 1e150), (12.0, 2.5)):
+        w = float(np.count_nonzero(C2.entries)) / C2.cols
+        want = float(np.sqrt(amplitude**2 * w / (2.0 * 10.0 ** (db / 10.0))))
+        assert ebn0_to_sigma(db, C2, amplitude) == want
+
+
 def test_channel_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(noise_sigma=-1.0)

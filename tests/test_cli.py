@@ -315,6 +315,24 @@ def test_bad_amplitude_diagnosed(capsys, amplitude):
     assert err == f"error: amplitude must be finite and positive, got {float(amplitude)}\n"
 
 
+def test_huge_amplitude_sweep_diagnosed(capsys):
+    # amplitude**2 leaves the float range inside the Eb/N0 conversion
+    code, out, err = run_cli(capsys, "ber", "--level", "3", "--snr", "8:1:8", "--trials", "10",
+                             "--amplitude", "1e160")
+    assert code == 1
+    assert out == ""
+    assert err == "error: Eb/N0 8.0 dB at amplitude 1e+160 has no finite noise sigma\n"
+
+
+def test_huge_ml_amplitude_diagnosed(capsys):
+    # refused before any score is formed, so no numpy warning precedes the error
+    code, out, err = run_cli(capsys, "decode", "--level", "3", "--decoder", "ml",
+                             "--amplitude", "1e200", "--y", "1,2,3,4,5,6,7,8")
+    assert code == 1
+    assert out == ""
+    assert err == "error: amplitude 1e+200 puts level-3 ML scores past the float range\n"
+
+
 PINNED = Path(__file__).parent / "data" / "pinned"
 
 

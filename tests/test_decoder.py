@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from udcdma.channel import spread_many
-from udcdma.codebook import build_codebook
+from udcdma.codebook import build_codebook, level_users
+import fda_recursion
 import leaf_oracle
 import ml_pin
-from leaf_oracle import _D_HI, _D_LO, cell_reps, chip_reps, leaf_rules
+from leaf_oracle import _D_HI, _D_LO, cell_reps, chip_reps, leaf_rules, quantize
 from udcdma import decoder
 from udcdma.decoder import (
     _LEAF_CUTS,
@@ -29,7 +31,6 @@ from udcdma.decoder import (
     _leaf_cells,
     _leaf_table,
     _unit_chips,
-    _q_grid,
     fda_decode,
     fda_decode_batch,
     fda_decode_batch8,
@@ -57,7 +58,7 @@ def brute_nearest(y, lo, hi, step):
 
 def q_one(y: float, lo: int, hi: int, step: int = 2):
     """(z, zeta, comparisons) of ``_q_grid`` for one statistic."""
-    z, zeta, comps = _q_grid(np.array([float(y)]), lo, hi, step)
+    z, zeta, comps = quantize(np.array([float(y)]), lo, hi, step)
     return int(z[0]), int(zeta[0]), int(comps[0])
 
 
@@ -135,7 +136,7 @@ def test_quantize_saturates_on_every_finite_float(ys, lo, hi, step):
     # one-value form and the exact reference all agree
     if (hi - lo) % step:
         hi += 1
-    z, zeta, comps = _q_grid(np.array(ys), lo, hi, step)
+    z, zeta, comps = quantize(np.array(ys), lo, hi, step)
     for i, y in enumerate(ys):
         ref = _q_reference(y, lo, hi, step)
         assert (int(z[i]), int(zeta[i]), int(comps[i])) == ref
@@ -244,7 +245,7 @@ def test_count_consistency_invariant():
         c = build_codebook(level)
         ys = golden[f"chips{level}"]
         words, _ = fda_decode_batch(c, ys)
-        z1, _, _ = _q_grid(ys[:, 0], -c.cols, c.cols, 2)
+        z1, _, _ = quantize(ys[:, 0], -c.cols, c.cols)
         assert np.array_equal((words == -1).sum(axis=1), (c.cols - z1) // 2)
 
 
@@ -313,6 +314,67 @@ def test_non_finite_chips_rejected(bad):
             decode()
     with pytest.raises(ValueError, match="float32"):
         MlDecoder(C2).decode_batch([[1e300, 1.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_finiteness_screen_names_the_first_bad_entry(bad, at):
+    # the block's sum screens it; a sum that is not finite falls back to the
+    # entry scan, which names the first bad entry in row-major order
+    rng = np.random.default_rng(79)
+    y = spread_many(C3, 2 * rng.integers(0, 2, size=(5, C3.cols)) - 1) + rng.normal(0, 1, (5, 8))
+    row, col = {"first": (0, 0), "middle": (2, 3), "last": (4, 7)}[at]
+    y[row, col] = bad
+    if at != "last":
+        y[4, 7 - (at == "first")] = -bad              # a later bad entry is not named
+    for decode, what in ((lambda: fda_decode_batch(C3, y), "chips must be finite"),
+                         (lambda: MlDecoder(C3).decode_batch(y), "chips must be finite in float32")):
+        with pytest.raises(ValueError) as err:
+            decode()
+        assert str(err.value) == f"{what}: row {row}, chip {col} is {bad}"
+
+
+def test_blocks_whose_sum_overflows_decode_without_warning():
+    # finite entries whose sum leaves the float range pass the entry scan
+    rng = np.random.default_rng(83)
+    huge = rng.choice([-1e308, 1e308], size=(64, C3.rows))
+    huge[:8] = 1e308                                    # these rows' sums overflow alike
+    big32 = np.full((16, C3.rows), 3e38)                # so do these in float32
+    big32[8:] *= rng.choice([-1.0, 1.0], size=(8, C3.rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words, comps = fda_decode_batch(C3, huge)
+        ml_words = MlDecoder(C3).decode_batch(big32)
+    assert _same((words, comps), fda_recursion.decode_block(huge, C3.cols, None))
+    assert (words[:8] == 1).all() and (comps[:8] == 1).all()
+    assert np.array_equal(ml_words, ml_oracle(C3, big32))
+
+
+def _ml_amplitude_limit(c) -> float:
+    """The largest amplitude with rows (A K)(A K + 2 f) below the float64
+    maximum, f the float32 maximum: the bound ``MlDecoder`` enforces."""
+    f = float(np.finfo(np.float32).max)
+    x = math.sqrt(f * f + float(np.finfo(np.float64).max) / c.rows) - f
+    return x / c.cols
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_ml_amplitude_past_the_float_range_refused(level):
+    c = build_codebook(level)
+    top = _ml_amplitude_limit(c)
+    with pytest.raises(ValueError, match=f"amplitude .* level-{level} ML scores past the float range"):
+        MlDecoder(c, 1.001 * top)
+    # just inside the bound, every float32-range chip scores finitely
+    ml = MlDecoder(c, 0.999 * top)
+    rng = np.random.default_rng(89 + level)
+    ys = np.vstack((rng.uniform(-3e38, 3e38, size=(40, c.rows)), np.full((1, c.rows), 3e38),
+                    np.full((1, c.rows), -3e38), rng.normal(0, 1, size=(40, c.rows))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = ml.decode_batch(ys)
+    assert np.isin(words, (-1, 1)).all()
+    if level <= 3:
+        assert np.array_equal(words, ml_oracle(c, ys, ml.amplitude))
 
 
 def test_fda_rejects_level1_and_bad_shapes():
@@ -576,7 +638,7 @@ def test_ml_residual_never_above_truth_or_fda(level):
 
 def test_constellation_points_descending():
     # zeta ranks the grid {hi, hi-step, ..., lo} from the high end
-    z, zeta, _ = _q_grid(np.arange(8.0, -9.0, -2.0), -8, 8, 2)
+    z, zeta, _ = quantize(np.arange(8.0, -9.0, -2.0), -8, 8)
     assert z.tolist() == [8, 6, 4, 2, 0, -2, -4, -6, -8]
     assert zeta.tolist() == list(range(1, 10))
     assert q_one(5.0, 0, 0, 1) == (0, 1, 1)
@@ -720,3 +782,94 @@ def test_golden_rows_match_exact_oracle_leaf(level, monkeypatch):
     words, comps = fda_decode_batch(c, golden[f"chips{level}"])
     assert np.array_equal(np.packbits(words < 0, axis=1), golden[f"words{level}"])
     assert np.array_equal(comps, golden[f"comparisons{level}"])
+
+
+# ---------------------------------------------------------------------------
+# The level passes against the recursion they replaced (tests/fda_recursion.py)
+
+_ROW_KINDS = ("noiseless", "noisy", "half", "midpoint", "subnormal", "huge")
+
+
+def _fda_rows(c, kind, rng, n=160):
+    """Seeded (n, rows) chips of one kind: codewords, noisy codewords,
+    half-integers, integers moved one ulp either way (every grid midpoint
+    is an integer), subnormal and zero chips among small integers, and
+    +-1e308 among small integers."""
+    k = c.cols
+    x = 2 * rng.integers(0, 2, size=(n, k)) - 1
+    if kind in ("noiseless", "noisy"):
+        y = spread_many(c, x)
+        return y + rng.normal(0, rng.choice([0.5, 1.5, 4.0], size=(n, 1)), size=y.shape) \
+            if kind == "noisy" else y
+    ints = rng.integers(-k - 3, k + 4, size=(n, c.rows)).astype(np.float64)
+    if kind == "half":
+        return ints + rng.choice([0.0, 0.5], size=ints.shape)
+    if kind == "midpoint":
+        return np.nextafter(ints, rng.choice([-np.inf, np.inf], size=ints.shape))
+    special = (5e-324, -5e-324, 1e-310, -1e-310, 0.0) if kind == "subnormal" else (1e308, -1e308)
+    pick = rng.random(ints.shape) < 0.4
+    return np.where(pick, rng.choice(special, size=ints.shape), ints)
+
+
+@pytest.mark.parametrize("kind", _ROW_KINDS)
+@pytest.mark.parametrize("level", range(2, 9))
+def test_level_passes_match_the_recursion(level, kind):
+    # words and per-row comparisons, from chip 0 and from known counts
+    c = build_codebook(level)
+    rng = np.random.default_rng(97 + level)
+    y = _fda_rows(c, kind, rng)
+    assert _same(fda_decode_batch(c, y), fda_recursion.decode_block(y, c.cols, None))
+    n = rng.integers(0, c.cols + 1, size=len(y))
+    y[:, 0] = c.cols - 2 * n
+    assert _same(_decode_block(y, c.cols, n), fda_recursion.decode_block(y, c.cols, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([C3, C4]).flatmap(lambda c: st.tuples(
+    st.just(c), hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(c.rows)),
+                           elements=st.one_of(_FINITE, st.floats(-40, 40), _NEAR_TIES)))))
+def test_level_passes_match_the_recursion_on_every_finite_float(case):
+    c, y = case
+    assert _same(fda_decode_batch(c, y), fda_recursion.decode_block(y, c.cols, None))
+
+
+@pytest.mark.parametrize("level", range(3, 10))
+def test_split_counts_need_no_clip(level):
+    # at every count n and split point i of a level's grid, the halves'
+    # counts (2n -+ z) // 4, z = 2i - bound, already lie in the ranges the
+    # recursion clipped them to, and add up to n or n - 1
+    k, h = level_users(level), level_users(level - 1)
+    n, i = np.arange(k + 1)[:, None], np.arange(k + 1)
+    bound = 2 * np.minimum(n, k - n)
+    z = 2 * i - bound
+    n_l, n_r = (2 * n - z) // 4, (2 * n + z) // 4
+    inside = i <= bound
+    assert ((n_l >= np.maximum(0, n - h - 1)) & (n_l <= np.minimum(h, n)))[inside].all()
+    assert ((n_r >= np.maximum(0, n - n_l - 1)) & (n_r <= np.minimum(h, n - n_l)))[inside].all()
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_every_leaf_goes_through_one_leaf_call(level, monkeypatch):
+    # a leaf that flips its first user flips exactly the first user of every
+    # leaf in the word, and a block makes one leaf call
+    c = build_codebook(level)
+    rng = np.random.default_rng(101 + level)
+    y = _fda_rows(c, "noisy", rng)
+    words, comps = fda_decode_batch(c, y)
+    calls = []
+
+    def flip_first(ys, amplitude=1.0):
+        calls.append(len(ys))
+        leaf, leaf_comps = fda_decode_batch8(ys, amplitude)
+        leaf = leaf.copy()
+        leaf[:, 0] *= -1
+        return leaf, leaf_comps
+
+    monkeypatch.setattr(decoder, "fda_decode_batch8", flip_first)
+    flipped, flipped_comps = fda_decode_batch(c, y)
+    # leaves and middle users alternate along a word, so leaf l starts at 9 l
+    first = 9 * np.arange(1 << (level - 2))
+    expected = words.copy()
+    expected[:, first] *= -1
+    assert np.array_equal(flipped, expected) and np.array_equal(flipped_comps, comps)
+    assert calls == [len(y) << (level - 2)]
