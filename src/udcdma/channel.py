@@ -34,7 +34,8 @@ class ChannelConfig:
 def spread_many(c: TernaryCodebook, words: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
     """Row-wise spreading of a (trials, K) matrix of antipodal words."""
     chips = words.astype(np.int64) @ c.entries.T.astype(np.int64)
-    return amplitude * chips.astype(np.float64)
+    with np.errstate(over="ignore"):            # the decoders refuse an inf chip
+        return amplitude * chips.astype(np.float64)
 
 
 def _rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -47,7 +48,8 @@ def noise_block(cfg: ChannelConfig, stream: int, block: int, nchips: int,
     """The first ``trials`` rows of the (NOISE_BLOCK, nchips) Gaussian block
     for one (stream, block) pair."""
     g = _rng(cfg.rng_seed, stream, block)
-    return cfg.noise_sigma * g.standard_normal((trials, nchips))
+    with np.errstate(over="ignore"):            # the decoders refuse an inf chip
+        return cfg.noise_sigma * g.standard_normal((trials, nchips))
 
 
 def random_words(seed: int, stream: int, block: int, trials: int, users: int) -> np.ndarray:

@@ -51,7 +51,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     c = cb.build_codebook(args.level)
-    witness = cb.verify_ud(c.entries, bound=args.bound)
+    witness = cb.verify_ud(c.entries)
     if witness.verdict:
         print(f"level {args.level} ({c.rows}x{c.cols}): uniquely decodable")
     else:
@@ -142,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="exhaustive unique-decodability check")
     v.add_argument("--level", type=int, required=True)
-    v.add_argument("--bound", type=int, default=cb.UD_CHECK_BOUND)
     v.set_defaults(func=_cmd_verify)
 
     f = sub.add_parser("ft", help="maximal UD column-count search")

@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 MAX_LEVEL = 12
-UD_CHECK_BOUND = 17     # nullspace scan tabulates ~3^ceil(K/2) rows per half
-# Memory guard on the larger half's int8 tables.  Peak memory runs about five
-# times the tables: a 16x26 matrix holds 46 MiB of them and adds 242 MiB of RSS.
+# Memory guard on the larger half's int8 tables, which bounds the UD scan's
+# columns too.  Peak memory runs about five times the tables: a 16x26 matrix
+# holds 46 MiB of them and adds 242 MiB of RSS.
 _UD_TABLE_BYTES = 1 << 26
 
 _LEVEL1 = np.array([[1, 1, 1],
@@ -33,7 +33,7 @@ _LEVEL2 = np.array([[1, 1, 1, 1, 1, 1, 1, 1],
 
 
 class UdBoundError(ValueError):
-    """Raised when an exhaustive UD scan would exceed the configured bound."""
+    """Raised when an exhaustive scan or sweep would exceed its size limit."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +151,7 @@ def _row_keys(sums: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sums).view(np.dtype((np.void, sums.shape[1]))).ravel()
 
 
-def verify_ud(matrix, bound: int = UD_CHECK_BOUND) -> UdWitness:
+def verify_ud(matrix) -> UdWitness:
     """Exhaustively certify unique decodability of a ternary matrix.
 
     Meet in the middle: split the K columns into A (the first K // 2) and B
@@ -159,15 +159,11 @@ def verify_ud(matrix, bound: int = UD_CHECK_BOUND) -> UdWitness:
     and look for equal rows.  Only d whose first nonzero coordinate is +1 are
     candidates (negating d preserves membership).  On failure returns the
     lexicographically first counterexample, ordering coordinates as
-    -1 < 0 < +1.  Each table holds ~3^ceil(K/2) rows, for any row count.
+    -1 < 0 < +1.  Each table holds ~3^ceil(K/2) rows, for any row count;
+    a scan whose tables pass 64 MiB is refused.
     """
     m = _as_ternary(matrix)
     n_rows, n_cols = m.shape
-    if n_cols > bound:
-        raise UdBoundError(
-            f"UD scan over {n_cols} columns needs ~{_sci(3 ** n_cols, 2)} candidates; "
-            f"bound is {bound} columns"
-        )
     half = n_cols // 2
     n_b = n_cols - half
     table_bytes = 3 ** n_b * (n_rows + n_b)

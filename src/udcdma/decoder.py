@@ -6,13 +6,13 @@ each word off the first chip; then each level quantizes the left/right split
 row sL - sR of all its nodes together, which hands each half its -1 count,
 so no half pays a first quantize, and fixes each node's middle user (+1
 exactly when the halves' counts add up to the node's).  All leaves of the
-block, copies of the 4x8 seed matrix, then decode in one call of
-``fda_decode_batch8``.  The only arithmetic charged to the complexity budget
-is the threshold comparisons inside the constellation quantizer; every other
-step is index bookkeeping.  ``fda_decode`` decodes one vector as a block of
-one.  There is one quantizer, ``_q_grid``.  Its grids have step 2 and
-integer midpoints, so it works on integers: the statistics' ceilings, from
-one rounding pass of the block (``_ceil``) that every quantize reads.
+block, copies of the 4x8 seed matrix, then decode in one lookup.  The only
+arithmetic charged to the complexity budget is the threshold comparisons
+inside the constellation quantizer; every other step is index bookkeeping.
+``fda_decode`` decodes one vector as a block of one.  There is one
+quantizer, ``_q_grid``.  Its grids have step 2 and integer midpoints, so it
+works on integers: the statistics' ceilings, from one rounding pass of the
+block (``_ceil``) that every quantize and, above level 2, every leaf reads.
 
 The leaf looks its answer up.  Each of its four chips falls in one cell of
 a fixed set of integer cuts (9, 9, 6 and 8 cells), and the leaf's
@@ -21,14 +21,14 @@ count.  The package data file ``leaf8.npy`` holds both per cell, evaluated
 once from those rules at each cell's midpoint, a small multiple of 1/2
 where float arithmetic is exact; the rules and the script that writes the
 file live in ``tests/leaf_oracle.py``.  The table is read on the first leaf
-decode, not at import.  A chip's cell takes one rounding pass: chips 0-2,
-where a chip on a cut lies in the cell below it, are rounded up, chip 3,
-where it lies in the cell above, is rounded down, and the integer, clipped
-to [-9, 9], indexes a 19-entry table per chip.  The cuts are integers, so
-the cuts below y are those below ceil(y) and the cuts at or below y are
-those at or below floor(y).  Rounding and clipping a float are exact, so
-every finite chip lands in its own cell, and the leaf's comparison counts
-are the rules' charges.
+decode, not at import.  The cuts are integers, so the rounding pass gives
+each chip's cell: chips 1 and 2, where a chip on a cut lies in the cell
+below it, are read at their ceilings c, and chip 3, where it lies in the
+cell above, at its floor c - (c > y), exact also past the clip of ``_ceil``.
+Chip 0 is the exact 8 - 2n handed down, whose quantize is not charged.  A
+level-2 block is one leaf, rounded once (chips 0-2 up, chip 3 down), whose
+table charges chip 0.  Each integer, clipped to [-9, 9], indexes a 19-entry
+table per chip, so every finite chip lands in its own cell.
 
 ``MlDecoder`` is the exact minimum-distance reference.  Above level 2 it
 never lists the 2^K hypotheses: it runs min-sum over the recursion tree on
@@ -169,7 +169,7 @@ def _layout(level: int) -> tuple:
             row + np.arange(3)[:, None], (col[:, None] + np.arange(8)).ravel())
 
 
-def _decode_block(y: np.ndarray, users: int, n):
+def _decode_block(y: np.ndarray, n):
     """Fast decode of an (N, rows) block of unit-amplitude chips, one pass per
     tree level over the nodes of ``_layout``.
 
@@ -178,11 +178,19 @@ def _decode_block(y: np.ndarray, users: int, n):
     (N, nodes) integers from one rounding pass of the block; its nodes' halves
     get their counts this way, so they pay no first quantize, and the middle
     user is +1 exactly when the halves' counts add up to the node's.  All
-    2^(level-2) leaves then decode in one call of ``fda_decode_batch8``.
+    2^(level-2) leaves then go to one ``_leaf_lookup`` of their rounded chips:
+    the exact first chip 8 - 2n, and chips 1-3 from the same rounding pass.
     """
     level = y.shape[1].bit_length() - 1
     if level == 2 and n is None:
-        return fda_decode_batch8(y)             # the block is one leaf
+        # the block is one leaf, whose table quantizes chip 0: its one
+        # rounding pass takes chips 0-2 up and chip 3 down
+        y = y.T
+        r = np.empty(y.shape)
+        np.ceil(y[:3], out=r[:3])
+        np.floor(y[3], out=r[3])
+        return _leaf_lookup(r)
+    users = level_users(level)
     rows, mids, leaf_rows, leaf_cols = _layout(level)
     c = _ceil(y, users + 2)                     # every grid lies in [-users, users]
     if n is None:
@@ -212,13 +220,14 @@ def _decode_block(y: np.ndarray, users: int, n):
         # the middle user is -1 exactly when the halves hold one -1 fewer than n
         words[:, mids[j]] = 2 * (n_l + n_r - counts) + 1
         counts = halves
-    chips = np.empty(counts.shape + (4,))
-    chips[..., 0] = 8 - 2 * counts
-    chips[..., 1:] = y[:, leaf_rows.T]
-    leaf, c_leaf = fda_decode_batch8(chips.reshape(-1, 4))
+    r = np.empty((4,) + counts.shape, dtype=np.int64)
+    np.subtract(8, 2 * counts, out=r[0])
+    r[1:] = c[:, leaf_rows].transpose(1, 0, 2)
+    r[3] -= r[3] > y[:, leaf_rows[2]]
+    leaf, c_leaf = _leaf_lookup(r)
     words[:, leaf_cols] = leaf.reshape(len(y), len(leaf_cols))
     # the leaf quantizes the exact first chip 8-2n; that test is not charged
-    c_leaf = c_leaf.reshape(counts.shape) - np.minimum(counts + 1, 9 - counts)
+    c_leaf -= np.minimum(counts + 1, 9 - counts)
     return words, comps + c_leaf.sum(axis=1)
 
 
@@ -230,7 +239,7 @@ def fda_decode_batch(c: TernaryCodebook, ys, amplitude: float = 1.0):
     """
     if c.level < 2:
         raise ValueError("fast decoding starts at level 2")
-    return _decode_block(_unit_chips(ys, c.rows, amplitude), c.cols, None)
+    return _decode_block(_unit_chips(ys, c.rows, amplitude), None)
 
 
 def fda_decode(c: TernaryCodebook, y, amplitude: float = 1.0) -> DecodeOutcome:
@@ -572,10 +581,12 @@ class MlDecoder:
 _LEAF_CUTS = (np.arange(-7.0, 8.0, 2.0), np.arange(-6.0, 9.0, 2.0),
               np.arange(-4.0, 5.0, 2.0), np.arange(-3.0, 4.0))
 _LEAF_SIDES = ("left", "left", "left", "right")
-# Entry r + 9 of row k is the cell of chip k at the integer r; every cut
-# lies in [-9, 9].
-_LEAF_STEPS = np.array([np.searchsorted(cuts, np.arange(-9, 10), side)
-                        for cuts, side in zip(_LEAF_CUTS, _LEAF_SIDES)])
+# Entry r + 9 of row k is the cell of chip k at the integer r, times the
+# chip's stride in the flattened (9, 9, 6, 8) cell table; every cut lies in
+# [-9, 9].
+_LEAF_STEPS = np.array([np.searchsorted(cuts, np.arange(-9, 10), side) * stride
+                        for cuts, side, stride in zip(_LEAF_CUTS, _LEAF_SIDES,
+                                                      (9 * 6 * 8, 6 * 8, 8, 1))])
 
 
 @functools.cache
@@ -587,42 +598,26 @@ def _leaf_table() -> np.ndarray:
     return table
 
 
-def _leaf_cells(y: np.ndarray) -> tuple:
-    """The cell index of each chip of an (N, 4) block, one array per chip.
+def _leaf_cell(r: np.ndarray) -> np.ndarray:
+    """The flat table index of each leaf's cell, from its rounded chips ``r``,
+    (4, ...) integers or integral floats: chips 0-2 rounded up and chip 3
+    down, each clipped to [-9, 9] before any cast."""
+    i = np.clip(r, -9, 9).astype(np.intp, copy=False)
+    i += 9
+    flat = _LEAF_STEPS[0].take(i[0])
+    for steps, chip in zip(_LEAF_STEPS[1:], i[1:]):
+        flat += steps.take(chip)
+    return flat
 
-    Chips 0-2 are rounded up and chip 3 down; the clip comes before the
-    integer cast, so a huge chip saturates at an edge cell.
-    """
-    y = y.T
-    r = np.empty(y.shape)
-    np.ceil(y[:3], out=r[:3])
-    np.floor(y[3], out=r[3])
-    np.maximum(r, -9, out=r)
-    np.minimum(r, 9, out=r)
-    idx = r.astype(np.intp)
-    idx += 9
-    return tuple(steps[i] for steps, i in zip(_LEAF_STEPS, idx))
+
+def _leaf_lookup(r: np.ndarray):
+    """Words (..., 8) and comparisons (...) of the leaves whose rounded chips
+    are ``r`` (``_leaf_cell``): one entry of ``leaf8.npy`` per leaf."""
+    cell = _leaf_table().reshape(-1, 2).take(_leaf_cell(r), axis=0)
+    return _WORDS8.take(cell[..., 0], axis=0), cell[..., 1].astype(np.int64)
 
 
 def fda_decode_batch8(ys: np.ndarray, amplitude: float = 1.0):
-    """Decode a (trials, 4) block of seed-codebook chip vectors: the 4x8 leaf.
-
-    Each chip falls in one cell of ``_LEAF_CUTS``: the count of cuts below
-    it (at or below it, for chip 3).  The cuts are integers, so that count
-    is the count below the chip's ceiling (at or below its floor, for chip
-    3), and ``_LEAF_STEPS`` holds it per integer in [-9, 9], past every cut.
-    Rounding and clipping a float are exact, so no chip crosses a cut on the
-    way to its cell.  The four cells index one entry of the package table
-    ``leaf8.npy``: the word and the comparisons that the leaf's quantizer
-    rules charge at every point of those cells.  The rules (the first chip
-    gives the -1 count, the second the left/right split, the last two the
-    users within each side) and the script that writes the table live in
-    ``tests/leaf_oracle.py``.  Returns (words, comparisons).
-    """
-    table = _leaf_table()
-    flat, *rest = _leaf_cells(_unit_chips(ys, 4, amplitude))
-    for size, cell in zip(table.shape[1:], rest):      # the cells' flat index
-        flat *= size
-        flat += cell
-    cell = table.reshape(-1, 2).take(flat, axis=0)
-    return _WORDS8.take(cell[:, 0], axis=0), cell[:, 1].astype(np.int64)
+    """Decode a (trials, 4) block of seed-codebook chip vectors, the 4x8 leaf,
+    as a level-2 block: (words, comparisons), one ``leaf8.npy`` entry a row."""
+    return _decode_block(_unit_chips(ys, 4, amplitude), None)

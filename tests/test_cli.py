@@ -46,24 +46,27 @@ def test_verify(capsys):
 
 
 def test_verify_over_bound_is_diagnosed(capsys):
-    code, _, err = run_cli(capsys, "verify", "--level", "4")
-    assert code == 1
-    assert "bound" in err
+    # the table cap refuses every level past 3 in one line
+    for level in range(4, 13):
+        code, out, err = run_cli(capsys, "verify", "--level", str(level))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: UD scan of a ") and err.endswith("; cap is 64 MiB\n")
+        assert err.count("\n") == 1
 
 
 def test_verify_over_table_cap_is_diagnosed(capsys):
-    code, out, err = run_cli(capsys, "verify", "--level", "4", "--bound", "35")
+    code, out, err = run_cli(capsys, "verify", "--level", "4")
     assert code == 1
     assert out == ""
     assert err == "error: UD scan of a 16x35 matrix needs ~1.26e+04 MiB of tables; cap is 64 MiB\n"
 
 
 def test_verify_cost_past_float_range_is_diagnosed(capsys):
-    # 3^2303 / 2 = 10^1098.509 candidates overflow a float
+    # 3^1152 (1024 + 1152) bytes = 10^552.98 overflow a float
     code, _, err = run_cli(capsys, "verify", "--level", "10")
     assert code == 1
-    assert err == ("error: UD scan over 2303 columns needs ~3.23e+1098 candidates; "
-                   "bound is 17 columns\n")
+    assert err == ("error: UD scan of a 1024x2303 matrix needs ~9.14e+546 MiB of tables; "
+                   "cap is 64 MiB\n")
 
 
 def test_ft_length2(capsys):
@@ -322,6 +325,16 @@ def test_huge_amplitude_sweep_diagnosed(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: Eb/N0 8.0 dB at amplitude 1e+160 has no finite noise sigma\n"
+
+
+@pytest.mark.parametrize("huge", [["--sigma", "0.5", "--amplitude", "1e308"], ["--sigma", "1e308"]])
+def test_chips_past_the_float_range_end_in_one_line(capsys, huge):
+    # spreading or noise past the float range gives infinite chips, which the
+    # decoder's finiteness check reports; no numpy warning precedes it
+    code, out, err = run_cli(capsys, "ber", "--level", "3", "--trials", "10", "--decoders", "fda",
+                             *huge)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: chips must be finite: row ") and err.count("\n") == 1
 
 
 def test_huge_ml_amplitude_diagnosed(capsys):

@@ -160,16 +160,18 @@ def test_verify_ud_witness_really_annihilates():
     assert not (m @ w.counterexample).any()
 
 
-def test_verify_ud_bound_refused():
+def test_verify_ud_scans_past_17_columns():
+    # no column bound: an 18-column matrix fits the table cap and is scanned
     big = np.ones((4, 18), dtype=np.int8)
-    with pytest.raises(UdBoundError):
-        verify_ud(big)
+    w = verify_ud(big)
+    assert not w.verdict
+    assert not (big @ w.counterexample).any()
 
 
 def test_verify_ud_table_cap_refused():
-    # within a raised column bound, the half tables would still need ~12.6 GiB
+    # the half tables of level 4 would need ~12.6 GiB
     with pytest.raises(UdBoundError, match="cap is 64 MiB"):
-        verify_ud(build_codebook(4).entries, bound=35)
+        verify_ud(build_codebook(4).entries)
 
 
 def test_verify_ud_level3_stacked_on_itself():

@@ -8,6 +8,7 @@ import warnings
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from udcdma.decoder import (
     MlDecoder,
     _all_words,
     _decode_block,
-    _leaf_cells,
+    _leaf_cell,
     _leaf_table,
     _unit_chips,
     fda_decode,
@@ -166,7 +167,7 @@ def test_delta_params_frozen_values():
 
 def test_sub_decode8_zero_counts():
     # a child leaf handed its count pays no first quantize; zero -1s costs nothing
-    words, comps = _decode_block(np.array([[8.0, 1.0, 1.0, 0.0]]), 8, np.array([0]))
+    words, comps = _decode_block(np.array([[8.0, 1.0, 1.0, 0.0]]), np.array([0]))
     assert words.tolist() == [[1] * 8]
     assert comps.tolist() == [0]
 
@@ -176,7 +177,7 @@ def test_sub_decode8_saturated_counts():
     # cost min(n+1, 9-n), so the two saturated counts cost nothing at all
     n = (WORDS8 == -1).sum(axis=1)
     top_words, top_comps = fda_decode_batch8(CHIPS8)
-    words, comps = _decode_block(CHIPS8, 8, n)
+    words, comps = _decode_block(CHIPS8, n)
     assert np.array_equal(words, WORDS8) and np.array_equal(top_words, WORDS8)
     assert np.array_equal(comps, top_comps - np.minimum(n + 1, 9 - n))
     assert (comps[(n == 0) | (n == 8)] == 0).all()
@@ -678,9 +679,19 @@ def test_leaf_table_ships_as_package_data():
     assert not _leaf_table().flags.writeable
 
 
+def _cells(y, n=None):
+    """The cells that a level-2 decode of the (M, 4) unit chips ``y`` finds
+    from its rounding pass, one array per chip; with counts ``n``, chip 0 is
+    the exact 8 - 2n."""
+    with mock.patch.object(decoder, "_leaf_lookup", wraps=decoder._leaf_lookup) as lookup:
+        _decode_block(y, n)
+    flat = _leaf_cell(lookup.call_args.args[0])
+    return np.unravel_index(flat.ravel(), _leaf_table().shape[:-1])
+
+
 def test_leaf_cells_hold_their_representatives():
     reps = cell_reps()
-    cells = _leaf_cells(reps.reshape(-1, 4))
+    cells = _cells(reps.reshape(-1, 4))
     grid = np.indices(reps.shape[:-1]).reshape(4, -1)
     assert all(np.array_equal(c, g) for c, g in zip(cells, grid))
 
@@ -694,7 +705,7 @@ def test_every_leaf_cut_is_needed():
 
 
 def _searched_cells(y):
-    """The binary search that ``_leaf_cells`` replaces: the oracle for its cells."""
+    """The binary search that the rounding pass replaces: the oracle for its cells."""
     return tuple(np.searchsorted(cuts, y[:, k], side)
                  for k, (cuts, side) in enumerate(zip(_LEAF_CUTS, _LEAF_SIDES)))
 
@@ -703,7 +714,13 @@ def _assert_cells_match_search(values):
     # every value in every chip position, beside other values in the others
     v = np.asarray(values, dtype=np.float64)
     y = np.stack([np.roll(v, k) for k in range(4)], axis=1)
-    for got, want in zip(_leaf_cells(y), _searched_cells(y)):
+    for got, want in zip(_cells(y), _searched_cells(y)):
+        assert np.array_equal(got, want)
+    # a leaf handed its count n reads chip 0 as the exact 8 - 2n
+    n = np.arange(len(y)) % 9
+    known = y.copy()
+    known[:, 0] = 8 - 2 * n
+    for got, want in zip(_cells(y, n), _searched_cells(known)):
         assert np.array_equal(got, want)
 
 
@@ -731,7 +748,7 @@ def test_leaf_rules_are_constant_on_cells(rows):
     # the cuts are complete: away from every integer, the rules answer as at
     # the representative of the chip's cell
     y = np.array(rows)
-    assert _same(leaf_rules(y), leaf_rules(cell_reps()[_leaf_cells(y)]))
+    assert _same(leaf_rules(y), leaf_rules(cell_reps()[_cells(y)]))
 
 
 def test_leaf_table_matches_rules_on_cuts_noisy_and_lattice_rows():
@@ -778,8 +795,9 @@ def _exact_leaf(ys, amplitude=1.0):
 def test_golden_rows_match_exact_oracle_leaf(level, monkeypatch):
     golden = np.load(GOLDEN)
     c = build_codebook(level)
+    # the reference recursion, with the exact leaf in place of the table
     monkeypatch.setattr(decoder, "fda_decode_batch8", _exact_leaf)
-    words, comps = fda_decode_batch(c, golden[f"chips{level}"])
+    words, comps = fda_recursion.decode_block(golden[f"chips{level}"], c.cols, None)
     assert np.array_equal(np.packbits(words < 0, axis=1), golden[f"words{level}"])
     assert np.array_equal(comps, golden[f"comparisons{level}"])
 
@@ -821,7 +839,7 @@ def test_level_passes_match_the_recursion(level, kind):
     assert _same(fda_decode_batch(c, y), fda_recursion.decode_block(y, c.cols, None))
     n = rng.integers(0, c.cols + 1, size=len(y))
     y[:, 0] = c.cols - 2 * n
-    assert _same(_decode_block(y, c.cols, n), fda_recursion.decode_block(y, c.cols, n))
+    assert _same(_decode_block(y, n), fda_recursion.decode_block(y, c.cols, n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -850,22 +868,23 @@ def test_split_counts_need_no_clip(level):
 
 @pytest.mark.parametrize("level", [3, 5])
 def test_every_leaf_goes_through_one_leaf_call(level, monkeypatch):
-    # a leaf that flips its first user flips exactly the first user of every
-    # leaf in the word, and a block makes one leaf call
+    # a lookup that flips its first user flips exactly the first user of
+    # every leaf in the word, and a block makes one lookup
     c = build_codebook(level)
     rng = np.random.default_rng(101 + level)
     y = _fda_rows(c, "noisy", rng)
     words, comps = fda_decode_batch(c, y)
     calls = []
+    lookup = decoder._leaf_lookup
 
-    def flip_first(ys, amplitude=1.0):
-        calls.append(len(ys))
-        leaf, leaf_comps = fda_decode_batch8(ys, amplitude)
+    def flip_first(r):
+        calls.append(r[0].size)
+        leaf, leaf_comps = lookup(r)
         leaf = leaf.copy()
-        leaf[:, 0] *= -1
+        leaf[..., 0] *= -1
         return leaf, leaf_comps
 
-    monkeypatch.setattr(decoder, "fda_decode_batch8", flip_first)
+    monkeypatch.setattr(decoder, "_leaf_lookup", flip_first)
     flipped, flipped_comps = fda_decode_batch(c, y)
     # leaves and middle users alternate along a word, so leaf l starts at 9 l
     first = 9 * np.arange(1 << (level - 2))
@@ -873,3 +892,16 @@ def test_every_leaf_goes_through_one_leaf_call(level, monkeypatch):
     expected[:, first] *= -1
     assert np.array_equal(flipped, expected) and np.array_equal(flipped_comps, comps)
     assert calls == [len(y) << (level - 2)]
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_a_decode_screens_its_block_once(level):
+    # the leaves read the block's one rounding pass: no second screen of
+    # leaf chips, and no call of the level-2 block decode
+    c = build_codebook(level)
+    y = _fda_rows(c, "noisy", np.random.default_rng(103 + level))
+    with mock.patch.object(decoder, "_require_finite", wraps=decoder._require_finite) as screen, \
+            mock.patch.object(decoder, "fda_decode_batch8", side_effect=AssertionError("leaf call")):
+        got = fda_decode_batch(c, y)
+    assert screen.call_count == 1
+    assert _same(got, fda_recursion.decode_block(y, c.cols, None))
