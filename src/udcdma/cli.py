@@ -116,6 +116,9 @@ def _cmd_complexity(args) -> int:
     if args.samples is not None and args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples {args.samples} exceeds the maximum {MAX_SAMPLES}")
     empirical = "exhaustive" if args.samples is None else "sampled"
+    # only sampled words read the seed
+    if empirical == "sampled" and args.mode != "analytic" and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.mode == "empirical":
         c = cb.build_codebook(args.level)
         value = cx.empirical_avg_comparisons(c, mode=empirical, count=args.samples, seed=args.seed)
@@ -191,7 +194,7 @@ def cli_main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, cb.UdBoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -206,9 +206,11 @@ def max_ud_columns(length: int) -> FtSearchResult:
     """Find the largest K admitting an L x K UD ternary matrix, L in 2..4.
 
     Depth-first set extension over the sign-deduplicated candidate columns in
-    lexicographic order.  Each search node keeps the set of sums S @ d
-    reachable from the current columns S as a bitset over the integer grid;
-    a new column c is compatible exactly when -c is not yet reachable.
+    lexicographic order, once per column weight class from its first column.
+    Each search node keeps the set of sums S @ d reachable from the current
+    columns S as a bitset over the integer grid; a new column c is compatible
+    exactly when -c is not yet reachable.  The exemplar lists its columns in
+    candidate order.
     """
     if not 2 <= length <= 4:
         raise ValueError("maximal-column search supports lengths 2 through 4 only")
@@ -229,27 +231,38 @@ def max_ud_columns(length: int) -> FtSearchResult:
     best_count = 0
     best_set: list[int] = []
 
-    def extend(reach: int, chosen: list[int], avail: list[int]) -> None:
+    def add(reach: int, chosen: list[int], j: int, avail: list[int]) -> None:
+        """Take column j into the set whose sums are ``reach``, then extend it
+        from the columns of ``avail`` that stay compatible."""
         nonlocal best_count, best_set
-        for ii, j in enumerate(avail):
-            if len(chosen) + len(avail) - ii <= best_count:
-                return
-            delta = deltas[j]
-            child = reach | (reach << delta) if delta > 0 else reach | (reach >> -delta)
-            child |= reach >> delta if delta > 0 else reach << -delta
-            chosen.append(j)
-            if len(chosen) > best_count:
-                best_count = len(chosen)
-                best_set = chosen.copy()
-            rest = [k for k in avail[ii + 1:] if not (child >> neg_pos[k]) & 1]
-            if rest:
-                extend(child, chosen, rest)
-            chosen.pop()
+        delta = deltas[j]
+        child = reach | (reach << delta) if delta > 0 else reach | (reach >> -delta)
+        child |= reach >> delta if delta > 0 else reach << -delta
+        chosen.append(j)
+        if len(chosen) > best_count:
+            best_count = len(chosen)
+            best_set = chosen.copy()
+        rest = [k for k in avail if not (child >> neg_pos[k]) & 1]
+        for ii, k in enumerate(rest):
+            if len(chosen) + len(rest) - ii <= best_count:
+                break
+            add(child, chosen, k, rest[ii + 1:])
+        chosen.pop()
 
-    root = 1 << zero_pos
-    extend(root, [], [j for j in range(n_cands)])
+    # Row permutations and row negations keep a set UD and map each column
+    # of weight w onto the first one, so some largest set holds that first
+    # column of a weight class and no column of the classes searched before
+    # it.  Middle weights go first (2, 3, 1, 4 at length 4); the order
+    # 1, 2, 3, 4 took about a quarter longer.
+    weight = [sum(map(bool, c)) for c in cands]
+    done: set[int] = set()
+    for w in sorted(set(weight), key=lambda w: abs(2 * w - length - 1)):
+        first = weight.index(w)
+        add(1 << zero_pos, [], first,
+            [k for k in range(n_cands) if k != first and weight[k] not in done])
+        done.add(w)
 
-    exemplar = np.array([cands[j] for j in best_set], dtype=np.int8).T
+    exemplar = np.array([cands[j] for j in sorted(best_set)], dtype=np.int8).T
     return FtSearchResult(length=length, max_columns=best_count, exemplar=exemplar)
 
 

@@ -8,11 +8,11 @@ evaluated once per level, so any level from 2 to 12 takes under a second:
 * ``analytic_G(i)`` counts first-quantize comparisons over the half-space of
   words with at most (K-1)/2 minority symbols (a word with j of them pays
   j+1 tests), in closed form;
-* ``analytic_H(i)`` counts second-quantize comparisons, whose cost is the
-  rank of the split statistic from the nearer grid end;
-* ``analytic_U(i)`` counts how many recursive half-decodes are spawned;
+* ``_split_sums(i)`` gives H, the second-quantize comparisons, whose cost is
+  the rank of the split statistic from the nearer grid end, and U, how many
+  recursive half-decodes are spawned;
 * ``analytic_T(i)`` combines them with the first-call-free average of the
-  previous level, walking the levels up once.
+  previous level, walking the levels up once (``_recursion``).
 
 The level-2 anchor is the reference census total 1500 over the 256 seed
 words.  The empirical side decodes words through the real decoder and
@@ -28,7 +28,7 @@ import numpy as np
 
 from .codebook import TernaryCodebook, UdBoundError, build_codebook, check_level, level_users
 from .channel import spread_many
-from .decoder import _all_words, _ceil, _q_grid, fda_decode_batch
+from .decoder import _all_words, fda_decode_batch
 
 EXHAUSTIVE_BOUND = 17
 # Words decoded per batch call, which bounds the decoder's scratch memory.
@@ -48,20 +48,15 @@ def analytic_G(i: int) -> int:
     """Total first-quantize comparisons over the representative half-space.
 
     For i >= 3 the sum of C(K, j) (j + 1) over j <= h, with K = 2h + 1, is
-    2^(K-1) + K (4^h - C(2h, h)) / 2.  The level-2 half-space is realized
-    operationally: total first-quantize comparisons over all 256 words,
-    halved (the words with four -1s pair up under negation, so the even
-    split is exact).
+    2^(K-1) + K (4^h - C(2h, h)) / 2.  At level 2 the first quantize reads
+    all eight users, so a word with j -1s pays its rank 1 + min(j, 8 - j)
+    from the nearer end of the 9-point grid, halved over all 256 words (the
+    words with four -1s pair up under negation, so the even split is exact).
     """
     if i < 2:
         raise ValueError("complexity accounting starts at level 2")
     if i == 2:
-        c2 = build_codebook(2)
-        words = _all_words(8)
-        first_chip = spread_many(c2, words)[:, 0]
-        total = int(_q_grid(_ceil(first_chip, 10), -8, 8)[1].sum())
-        assert total % 2 == 0
-        return total // 2
+        return sum(comb(8, j) * (1 + min(j, 8 - j)) for j in range(9)) // 2
     h = level_users(i - 1)
     return 2 ** (2 * h) + (2 * h + 1) * (4 ** h - comb(2 * h, h)) // 2
 
@@ -94,16 +89,6 @@ def _split_sums(i: int) -> tuple[int, int]:
     return total_h, total_u
 
 
-def analytic_H(i: int) -> int:
-    """Total second-quantize comparisons over the half-space, i >= 3."""
-    return _split_sums(i)[0]
-
-
-def analytic_U(i: int) -> int:
-    """Number of recursive half-decode invocations over the half-space, i >= 3."""
-    return _split_sums(i)[1]
-
-
 def _recursion(level: int) -> list:
     """(G, H, U, T, t_hat) for each level 2..level, each evaluated once.
 
@@ -124,19 +109,9 @@ def _recursion(level: int) -> list:
     return rows
 
 
-def _analytic_T_exact(i: int) -> Fraction:
-    return _recursion(i)[-1][3]
-
-
 def analytic_T(i: int) -> float:
     """Analytic average comparisons per decode at level i (exact rationals inside)."""
-    return float(_analytic_T_exact(i))
-
-
-def t_hat(i: int) -> Fraction:
-    """Average level-i comparisons with the first-call share removed, as used
-    one level up in the recursion."""
-    return _recursion(i)[-1][4]
+    return float(_recursion(i)[-1][3])
 
 
 def _exhaustive_words(c: TernaryCodebook) -> np.ndarray:

@@ -34,12 +34,13 @@ table per chip, so every finite chip lands in its own cell.
 never lists the 2^K hypotheses: it runs min-sum over the recursion tree on
 per-count half residuals, so its cost grows with the square of the user count.
 Minima go up, one tree level at a time: each half keeps only its least
-residual per -1 count.  The word comes down by one descent, which takes at
-each split the argmin for the count it was handed; the rare rows with an
-exact tie on that path are decided again, lexicographically.  A level-2 half
-has no chip for user 4, so it scores the 128 words of the other seven users.
-Level 2 itself is one float64 product and argmin over its 256 words.
-``MlDecoder.decode`` decodes one vector as a batch of one.
+residual per -1 count.  The word comes down by one descent from the top's
+least count, which takes at each split the argmin for the count it was
+handed; the rare rows with an exact tie on that path are decided again,
+lexicographically.  A level-2 half has no chip for user 4, so it scores the
+128 words of the other seven users.  Level 2 itself is one float64 product
+and argmin over its 256 words.  ``MlDecoder.decode`` decodes one vector as a
+batch of one.
 
 Quantizer conventions used throughout (all validated exhaustively by the
 noiseless round-trip suite):
@@ -298,12 +299,6 @@ def _ml_leaf(amplitude: float) -> np.ndarray:
     return np.hstack((-2.0 * leaf, (leaf ** 2).sum(axis=1, keepdims=True)))
 
 
-# A level-j split has h = level_users(j - 1) users per half; its row sL - sR
-# is 2 (nR - nL) at unit amplitude, indexed here by nR - nL + h.
-_OFFSETS = {j: 2.0 * np.arange(-level_users(j - 1), level_users(j - 1) + 1)
-                 for j in range(3, ML_MAX_LEVEL + 1)}
-
-
 @functools.cache
 def _split_index(h: int) -> tuple:
     """Per pair count s and left count nL of a split with h users per half:
@@ -332,18 +327,16 @@ def _halves(n_l: np.ndarray, s: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _choose(r1: np.ndarray, low: np.ndarray, s: np.ndarray, least: np.ndarray, extra=None):
+def _choose(r1: np.ndarray, low: np.ndarray, s: np.ndarray, least: np.ndarray):
     """Per node and column, the left count of the first least cell at pair
     count ``s`` (nodes, N), and whether another cell there also equals
-    ``least``; ``extra`` is added to every cell when given.  ``low`` holds
-    the halves' least residuals per count and a +inf row."""
+    ``least``.  ``low`` holds the halves' least residuals per count and a
+    +inf row."""
     h = len(low) - 2
     at_row, at_right = (a[s] for a in _split_index(h))
     k, c = np.arange(len(s))[:, None, None], np.arange(s.shape[1])[:, None]
     cell = r1[at_row, k, c] + low[:h + 1, 0::2].transpose(1, 2, 0)
     cell += low[at_right, 2 * k + 1, c]
-    if extra is not None:
-        cell += extra[..., None]
     return np.argmin(cell, axis=-1), (cell == least[..., None]).sum(axis=-1) > 1
 
 
@@ -364,19 +357,19 @@ class MlDecoder:
     sweep.  The leaf is the level-2 half: user 4 has no chip there, so it
     scores the 128 words of the other seven users, and user 4 moves a word
     to the next count.  A split keeps its least cell per pair count
-    s = nL + nR, and per count the better middle user.  The top adds the
-    all-ones row to each pair count's least cell, with the middle user that
-    scores lower on that row alone (an exact tie there goes to -1); rounding
-    is monotone, so that is the least over the cells with the row added.
+    s = nL + nR, and per count the better middle user.  The top is a split
+    like any other: its all-ones row scores t_n (t_n - 2 y0) at -1 count n,
+    and the rows below add the split's least residual at n.
 
-    Words come down by one descent: the top takes its least pair count,
-    each split the argmin over nL at the count it is handed, and each leaf
-    user 4's bit and the first least word of the chosen seven-user group.
-    Exact ties go to the lexicographically smallest word, as a sweep over
-    all 2^K words in index order would give.  Rows where a choice on the
-    path tied are decided again by ``_least``, which hands each half the
-    counts its tied candidates allow: the least left half wins, then the
-    middle user, then the right half.
+    Words come down by one descent: the top takes its least count, each
+    split the better middle user for the count it is handed and then the
+    argmin over nL at that pair count, and each leaf user 4's bit and the
+    first least word of the chosen seven-user group.  Exact ties go to the
+    lexicographically smallest word, as a sweep over all 2^K words in index
+    order would give.  Rows where the top's count or a choice on the path
+    tied are decided again by one call of ``_least`` on the top's least
+    counts, which hands each half the counts its tied candidates allow: the
+    least left half wins, then the middle user, then the right half.
 
     Level 2 scores its 256 words in one product and takes one argmin: the
     chips get a unit fifth chip, and the table a fifth row of norms |t|^2,
@@ -406,7 +399,6 @@ class MlDecoder:
             self._table = np.vstack((-2.0 * table.T, (table ** 2).sum(axis=1)))
             return
         self._leaf = _ml_leaf(amplitude)
-        self._offsets = {j: amplitude * d for j, d in _OFFSETS.items()}
         self._ones = amplitude * (self.users - 2.0 * np.arange(self.users + 1))
 
     def decode(self, y) -> DecodeOutcome:
@@ -439,8 +431,10 @@ class MlDecoder:
             out[lo:hi] = _WORDS8[np.argmin(chunk, axis=1)]
         return out
 
-    def _up(self, y: np.ndarray) -> dict:
-        """Minima up, for a (rows, N) chunk of chips with one row per column.
+    def _up(self, y: np.ndarray) -> tuple:
+        """Minima up, for a (rows, N) chunk of chips with one row per column:
+        the tables of each tree level, and the top's least residual of rows
+        1 on per -1 count, (K+2, 1, N) with a +inf row.
 
         Level 2 gets the leaves' scores, (129, leaves, N) with +inf last, and
         their least score per seven-user group m at m + 1 of (11, leaves, N),
@@ -462,8 +456,9 @@ class MlDecoder:
         # count n: user 4 at -1 with group n - 1, or at +1 with group n
         low = np.minimum(low7[:-1], low7[1:])
         for j in range(3, self.level + 1):
+            # row sL - sR is 2 (nR - nL) at unit amplitude, at nR - nL + h
             h = level_users(j - 1)
-            d = self._offsets[j][:, None, None]
+            d = self.amplitude * (2.0 * np.arange(-h, h + 1))[:, None, None]
             r1 = d * (d - 2.0 * y[rows[j]])
             pair = np.full((2 * h + 4,) + r1.shape[1:], np.inf)
             for nl, cell in _cells(r1, low[:, 0::2], low[:, 1::2], h):
@@ -471,30 +466,25 @@ class MlDecoder:
             nodes[j] = (r1, pair, low)
             # count n: middle -1 with s = n - 1, or +1 with s = n
             low = np.minimum(pair[:-1], pair[1:])
-        return nodes
+        return nodes, low
 
     def _decode_chunk(self, y: np.ndarray) -> np.ndarray:
         """Words of a (rows, N) chunk of chips, one row per column: minima up,
-        then one descent, then ``_least`` on the rows whose path tied."""
-        nodes = self._up(y)
+        the top's count, one descent, then ``_least`` on the rows whose path
+        tied."""
+        nodes, low = self._up(y)
         _, mids, _, leaf_cols = _layout(self.level)
-        h, n = (self.users - 1) // 2, y.shape[1]
+        n = y.shape[1]
+        # the all-ones row scores t_n (t_n - 2 y0) at -1 count n, and the
+        # rows below their least residual at that count
         t = self._ones[:, None]
-        ones = t * (t - 2.0 * y[0])                     # all-ones row per count n
-        up = ones[:-1] < ones[1:]                       # pair count s: middle +1 (n = s)
-        ones = np.minimum(ones[:-1], ones[1:])          # or middle -1 (n = s + 1)
-        r1, pair, low = nodes[self.level]
-        total = pair[1:2 * h + 2, 0] + ones
-        s = np.argmin(total, axis=0)[None, :]
+        total = t * (t - 2.0 * y[0]) + low[:self.users + 1, 0]
+        top = total == total.min(axis=0)
+        tie = top.sum(axis=0) > 1
+        counts = np.argmin(total, axis=0)[None, :]
         col = np.arange(n)
-        best = total[s, col]
-        tie = (total == best).sum(axis=0) > 1
-        n_l, tied = _choose(r1, low, s, best, ones[s, col])
-        tie |= tied[0]
         words = np.empty((n, self.users), dtype=np.int8)
-        words[:, h] = 2 * up[s[0], col] - 1
-        counts = _halves(n_l, s)
-        for j in range(self.level - 1, 2, -1):
+        for j in range(self.level, 2, -1):
             r1, pair, low = nodes[j]
             k = np.arange(len(counts))[:, None]
             below, above = pair[counts, k, col], pair[counts + 1, k, col]
@@ -518,19 +508,14 @@ class MlDecoder:
         if tie.any():
             # rare on noisy chips: decide the tied rows again, lexicographically
             cols = np.flatnonzero(tie)
-            r1, pair, low = nodes[self.level]
-            least = np.empty((h + 1, h + 1, len(cols)), dtype=bool)
-            for nl, cell in _cells(r1[:, 0, cols], low[:, 0, cols], low[:, 1, cols], h):
-                cell += ones[nl:nl + h + 1, cols]
-                np.equal(cell, best[0, cols], out=least[nl])
-            plus = up[:, cols][np.arange(h + 1)[:, None] + np.arange(h + 1)]
-            words[cols] = self._least_pair(nodes, self.level, 0, least & ~plus, least & plus, cols)[0]
+            words[cols] = self._least(nodes, self.level, 0, top[:, cols], cols)[0]
         return words
 
     def _least(self, nodes: dict, j: int, k: int, counts: np.ndarray, cols: np.ndarray):
         """The lexicographically least word of node k of level j, per column
         of ``cols``, among the words that reach the node's least residual at a
-        -1 count where the (counts, len(cols)) mask ``counts`` is set.
+        -1 count where the (counts, len(cols)) mask ``counts`` is set: the
+        least left half first, then the middle user, then the right half.
         Returns the words and their counts."""
         if j == 2:
             scores, low7 = nodes[2]
@@ -552,15 +537,9 @@ class MlDecoder:
         tied = np.empty((h + 1, h + 1, len(cols)), dtype=bool)
         for nl, cell in _cells(r1[:, k, cols], low[:, 2 * k, cols], low[:, 2 * k + 1, cols], h):
             np.equal(cell, pair[nl + 1:nl + h + 2], out=tied[nl])
+        # the candidate cells (nL, nR) with the middle user at -1 and at +1
         s = np.arange(h + 1)[:, None] + np.arange(h + 1)
-        return self._least_pair(nodes, j, k, tied & minus[s], tied & plus[s], cols)
-
-    def _least_pair(self, nodes: dict, j: int, k: int, minus: np.ndarray, plus: np.ndarray,
-                    cols: np.ndarray):
-        """The lexicographically least word over candidate cells (nL, nR) of
-        node k of level j, ``minus`` with the middle user at -1 and ``plus``
-        at +1, each an (nL, nR, len(cols)) mask: the least left half first,
-        then the middle user, then the right half.  Returns words and counts."""
+        minus, plus = tied & minus[s], tied & plus[s]
         words_l, n_l = self._least(nodes, j - 1, 2 * k, (minus | plus).any(axis=1), cols)
         pick = np.arange(len(cols))
         minus, plus = minus[n_l, :, pick], plus[n_l, :, pick]

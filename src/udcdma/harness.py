@@ -53,6 +53,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed (--seed) must be >= 0, got {self.rng_seed}")
         if self.min_errors is not None and self.min_errors < 1:
             raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
         if not self.decoders:

@@ -288,6 +288,34 @@ def test_complexity_samples_past_the_maximum_diagnosed(capsys, mode, monkeypatch
     assert err == f"error: --samples {10 ** 12} exceeds the maximum {cli.MAX_SAMPLES}\n"
 
 
+def test_ber_negative_seed_diagnosed(capsys):
+    code, out, err = run_cli(capsys, "ber", "--level", "2", "--sigma", "0.5",
+                             "--trials", "10", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: rng_seed (--seed) must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("mode", ["empirical", "both"])
+def test_complexity_negative_seed_diagnosed(capsys, mode, monkeypatch):
+    # refused before any codebook exists
+    monkeypatch.setattr(cb, "build_codebook", None)
+    code, out, err = run_cli(capsys, "complexity", "--level", "2", "--mode", mode,
+                             "--samples", "5", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [["--mode", "analytic", "--samples", "5"],
+                                  ["--mode", "empirical"], ["--mode", "both"]])
+def test_complexity_negative_seed_unread_is_ignored(capsys, argv):
+    # analytic numbers and the exhaustive census read no seed
+    code, out, err = run_cli(capsys, "complexity", "--level", "2", *argv, "--seed", "-1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["level"] == 2
+
+
 @pytest.mark.parametrize("mode", ["analytic", "empirical", "both"])
 def test_complexity_level_past_the_maximum_diagnosed(capsys, mode):
     # the analytic recursion alone would run for minutes at level 13

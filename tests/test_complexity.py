@@ -5,20 +5,20 @@ from math import ceil, comb, floor
 import pytest
 
 from udcdma import complexity
+from udcdma.channel import spread_many
 from udcdma.cli import cli_main
 from udcdma.codebook import UdBoundError, build_codebook
 from udcdma.complexity import (
     REFERENCE_CENSUS_4X8,
     analytic_G,
-    analytic_H,
     analytic_T,
-    analytic_U,
     comparison_census,
     complexity_report,
     empirical_avg_comparisons,
-    t_hat,
-    _analytic_T_exact,
+    _recursion,
+    _split_sums,
 )
+from udcdma.decoder import _all_words, _ceil, _q_grid
 
 
 def _half(i):
@@ -63,12 +63,14 @@ def test_analytic_G_closed_form_equals_the_sum(level):
 
 @pytest.mark.parametrize("level", range(3, 9))
 def test_analytic_H_and_U_single_sums_equal_the_double_sums(level):
-    assert analytic_H(level) == reference_H(level)
-    assert analytic_U(level) == reference_U(level)
+    assert _split_sums(level) == (reference_H(level), reference_U(level))
 
 
 def test_analytic_G_level2_operational():
-    assert analytic_G(2) == 500
+    # the decoder's own first quantize of all 256 noiseless first chips, halved
+    first_chip = spread_many(build_codebook(2), _all_words(8))[:, 0]
+    total = int(_q_grid(_ceil(first_chip, 10), -8, 8)[1].sum())
+    assert total == 2 * analytic_G(2) == 1000
 
 
 def test_analytic_G_level3_closed_form_vs_direct():
@@ -86,32 +88,29 @@ def test_binomial_identity_full_range():
 
 
 def test_analytic_H_and_U_frozen():
-    assert analytic_H(3) == 410236
-    assert analytic_U(3) == 129536
-    assert analytic_H(3) > 0 and analytic_U(3) > 0
+    assert _split_sums(3) == (410236, 129536)
 
 
 def test_analytic_U_leading_term():
     assert 4 * (2 ** (2**3 - 1) - 2) == 504
-    assert analytic_U(3) >= 504
+    assert _split_sums(3)[1] >= 504
 
 
 def test_analytic_levels_4_and_5_evaluate_exactly():
     # arbitrary-precision integers keep the higher levels exact
-    assert analytic_H(4) == 237318165313
-    assert analytic_U(4) == 34358820864
+    assert _split_sums(4) == (237318165313, 34358820864)
     assert analytic_G(4) > 0
     assert analytic_T(5) > analytic_T(4)
 
 
 def test_analytic_T_anchor_and_table_values():
-    assert _analytic_T_exact(2) == Fraction(1500, 256)
+    assert _recursion(2)[-1][3] == Fraction(1500, 256)
     assert abs(analytic_T(3) - 17.98) <= 0.01
     assert abs(analytic_T(4) - 50.24) <= 0.01
 
 
 def test_t_hat_level2():
-    assert t_hat(2) == Fraction(250, 127)
+    assert _recursion(2)[-1][4] == Fraction(250, 127)
 
 
 def test_analytic_T_monotone():

@@ -478,6 +478,12 @@ def ml_oracle(c, ys, amplitude=1.0):
 def _ml_inputs(c, kind, rng):
     if kind == "lattice":       # integer and half-integer chips: many exact ties
         return rng.integers(-2 * c.cols, 2 * c.cols + 1, size=(1200, c.rows)) / 2.0
+    if kind == "absorbed":
+        # lattice chips times 2^100: every score rounds to -2 y.t, in the
+        # oracle's sum and in the min-sum's, so the words of greatest y.t tie
+        # and the lexicographic rule alone decides; where chip 0 is 0 the
+        # all-ones row's scores differ only by norms the rows below absorb
+        return rng.integers(-4, 5, size=(1200, c.rows)) * 2.0 ** 100
     if kind == "large":         # finite float32 chips up to the float32 range
         scale = np.array([1e4, 1e12, 1e30, 1e36, 3e38])
         size = (len(scale), 120, c.rows)
@@ -487,13 +493,13 @@ def _ml_inputs(c, kind, rng):
                                          size=(2100, c.rows))
 
 
-@pytest.mark.parametrize("kind", ["noisy", "lattice", "large"])
+@pytest.mark.parametrize("kind", ["noisy", "lattice", "large", "absorbed"])
 @pytest.mark.parametrize("level", [2, 3])
 def test_ml_matches_brute_force_oracle(level, kind):
     c = build_codebook(level)
     ys = _ml_inputs(c, kind, np.random.default_rng(53 + level))
     assert np.array_equal(MlDecoder(c).decode_batch(ys), ml_oracle(c, ys))
-    if kind == "noisy":
+    if kind in ("noisy", "absorbed"):
         y = 2.5 * ys[:300]
         assert np.array_equal(MlDecoder(c, 2.5).decode_batch(y), ml_oracle(c, y, 2.5))
     if kind == "lattice" and level == 2:
@@ -542,7 +548,7 @@ def test_ml_half_tables_match_brute_force():
         groups = [np.flatnonzero((words < 0).sum(axis=1) == n) for n in range(half.cols + 1)]
         ys = np.random.default_rng(61).integers(-6, 7, size=(256, code.rows)) / 2.0
         ml = MlDecoder(code)
-        nodes = ml._up(np.ascontiguousarray(ys.T))
+        nodes, _ = ml._up(np.ascontiguousarray(ys.T))
         low = nodes[code.level][2][:half.cols + 1, 0]       # the top's left half
         least = []
         for n in range(half.cols + 1):
@@ -560,9 +566,9 @@ def test_ml_half_tables_match_brute_force():
 def _count_wise_top(ml, y):
     """The top as a min over -1 counts n: t(n) (t(n) - 2 y0) plus the least
     residual of rows 1 on at count n, from the minima that go up, and the
-    lexicographically least word over the least counts; the reference for
-    the min over cells."""
-    nodes = ml._up(np.ascontiguousarray(y.T))
+    lexicographically least word over the least counts, for every row; the
+    reference for the descent."""
+    nodes, _ = ml._up(np.ascontiguousarray(y.T))
     pair = nodes[ml.level][1][:, 0]
     rest = np.minimum(pair[:-1], pair[1:])[:ml.users + 1]
     t = ml.amplitude * (ml.users - 2.0 * np.arange(ml.users + 1))[:, None]
@@ -599,14 +605,14 @@ def test_ml_ties_alone_take_the_lexicographic_path(level, monkeypatch):
     # midpoint between two codewords ties, and the lexicographic pass decides
     # it, as the brute-force oracle does at level 3
     tied = []
-    least_pair = MlDecoder._least_pair
+    least = MlDecoder._least
 
-    def spy(self, nodes, j, k, minus, plus, cols):
+    def spy(self, nodes, j, k, counts, cols):
         if j == self.level:
             tied.extend(cols)
-        return least_pair(self, nodes, j, k, minus, plus, cols)
+        return least(self, nodes, j, k, counts, cols)
 
-    monkeypatch.setattr(MlDecoder, "_least_pair", spy)
+    monkeypatch.setattr(MlDecoder, "_least", spy)
     c = build_codebook(level)
     ml = MlDecoder(c)
     ml.decode_batch(ml_pin.inputs(level, "noisy", 1.0))
@@ -635,6 +641,25 @@ def test_ml_residual_never_above_truth_or_fda(level):
     assert (r_ml < residual(fda_words) - 1e-9).any()
     noiseless = MlDecoder(c).decode_batch(spread_many(c, x[:200]))
     assert np.array_equal(noiseless, x[:200])
+
+
+def test_ml_min_sum_names_no_level(monkeypatch):
+    # of the ML tables only the chunk sizes are keyed by level, so a level-6
+    # decode needs only the cap lifted and a chunk size
+    monkeypatch.setattr(decoder, "ML_MAX_LEVEL", 6)
+    monkeypatch.setitem(decoder._ML_CHUNK, 6, 64)
+    c = build_codebook(6)
+    rng = np.random.default_rng(83)
+    x = (2 * rng.integers(0, 2, size=(128, c.cols)) - 1).astype(np.int8)
+    ml = MlDecoder(c)
+    assert np.array_equal(ml.decode_batch(spread_many(c, x[:64])), x[:64])
+    # chips float32 holds, so ML is exact on the very chips the residuals read
+    ys = (spread_many(c, x) + rng.normal(0, 0.5, size=(128, c.rows))).astype(np.float32)
+    ys = ys.astype(np.float64)
+    residual = lambda w: ((ys - spread_many(c, w)) ** 2).sum(axis=1)
+    r_ml = residual(ml.decode_batch(ys))
+    assert (r_ml <= residual(x) + 1e-9).all()
+    assert (r_ml <= residual(fda_decode_batch(c, ys)[0]) + 1e-9).all()
 
 
 def test_constellation_points_descending():
