@@ -12,7 +12,7 @@ import numpy as np
 from . import codebook as cb
 from . import complexity as cx
 from .decoder import MlDecoder, fda_decode
-from .harness import SimConfig, curve_to_csv, curve_to_json, emit_results, run_ber_sweep
+from .harness import SimConfig, curve_to_csv, curve_to_json, run_ber_sweep
 
 # A sweep grid is refused past this many points, before any is built.
 MAX_GRID_POINTS = 10_000
@@ -96,21 +96,25 @@ def _cmd_ber(args) -> int:
         min_errors=args.min_errors,
     )
     points = run_ber_sweep(cfg)
-    if args.out:
-        try:
-            emit_results(points, args.format, args.out, cfg)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-        print(f"wrote {len(points)} points to {args.out}")
-    else:
-        if args.format == "json":
-            print(curve_to_json(points, cfg))
-        else:
-            sys.stdout.write(curve_to_csv(points))
+    text = curve_to_json(points, cfg) if args.format == "json" else curve_to_csv(points)
+    if not args.out:
+        # the CSV text ends in its one newline, the JSON text in none; stdout
+        # gets exactly one either way
+        print(text.rstrip("\n"))
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+    print(f"wrote {len(points)} points to {args.out}")
     return 0
 
 
 def _cmd_complexity(args) -> int:
+    # empirical_avg_comparisons refuses a count below 1 and a negative seed
+    # too, but only once a codebook is built; here both fail before any is,
+    # and --samples below 1 fails in every mode
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.samples is not None and args.samples > MAX_SAMPLES:

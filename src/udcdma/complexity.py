@@ -160,6 +160,10 @@ def empirical_avg_comparisons(
         return sum(totals) / 2 ** c.cols
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if count < 1:
+        raise ValueError(f"count (--samples) must be >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed (--seed) must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     step = _block_rows(c)
     total = 0

@@ -264,14 +264,20 @@ def _all_words(users: int) -> np.ndarray:
 # brute force that no level past 3 admits.
 ML_MAX_LEVEL = 5
 # Level 2 scores chunks of this many rows into one 256 x 256 float64 buffer,
-# 512 KiB.  Above it a level-j chunk has _ML_CHUNK[j] rows, whose leaf scores
-# take 129 float64 per leaf and row.  Fewer rows pay more numpy calls per
-# word.  At level 3 a 384-row chunk, one for a three-point sweep of 128
-# trials, took 3.61 against 3.91 us per word for 128-row chunks, timed right
-# after a cache-clearing probe (1.69 against 2.47 warm); at levels 4 and 5
-# no chunk size measured clearly better than 128 rows.
+# 512 KiB.
 _ML_ROWS = 256
+# Above it a level-j chunk has _ML_CHUNK[j] rows, whose leaf scores take 129
+# float64 per leaf and row; fewer rows pay more numpy calls per word, more
+# rows leave the cache.  At level 3 a 384-row chunk, one for a three-point
+# sweep of 128 trials, took 3.61 against 3.91 us per word for 128-row chunks,
+# right after a cache-clearing probe.  A level past the table (a lifted cap)
+# takes _ML_LEAF_ROWS >> (j - 2) rows, 1 MiB of leaf scores: at level 6, 98
+# us per word at 64 rows against 126 at 32 and 247 at 128.  The same rule at
+# levels 3 and 4 (512 and 256 rows) won on 4096-row stacks but lost on the
+# shorter stacks of sweeps under 4096 trials (level 4, 384 rows: 7.2 against
+# 5.9 us per word, after a 32 MiB cache sweep), so the table stays.
 _ML_CHUNK = {3: 384, 4: 128, 5: 128}
+_ML_LEAF_ROWS = 1024
 
 # The 256 level-2 words and their spreads, in index order.
 _WORDS8 = _all_words(8)
@@ -417,7 +423,7 @@ class MlDecoder:
         n = len(ys)
         out = np.empty((n, self.users), dtype=np.int8)
         if self.level > 2:
-            step = _ML_CHUNK[self.level]
+            step = _ML_CHUNK.get(self.level, _ML_LEAF_ROWS >> (self.level - 2))
             for lo in range(0, n, step):
                 hi = min(lo + step, n)
                 out[lo:hi] = self._decode_chunk(np.ascontiguousarray(ys[lo:hi].T, dtype=np.float64))

@@ -393,3 +393,29 @@ def test_fixed_seed_output_is_pinned(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 0 and err == ""
     assert out == (PINNED / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, name, tail", [
+    ("ber --level 2 --snr 0:4:12 --trials 600 --seed 3 --decoders fda,ml",
+     "ber_l2_snr0-4-12_t600_s3.csv", ""),
+    # stdout ends the JSON text in a newline, the file does not
+    ("ber --level 3 --sigma 0.5,1.5 --amplitude 2.5 --trials 300 --seed 7 --format json",
+     "ber_l3_sigma_amp2.5_t300_s7.json", "\n"),
+])
+def test_out_file_is_pinned(tmp_path, capsys, argv, name, tail):
+    path = tmp_path / name
+    code, out, err = run_cli(capsys, *argv.split(), "--out", str(path))
+    assert code == 0 and err == ""
+    assert path.read_bytes().decode("utf-8") + tail == (PINNED / name).read_text(encoding="utf-8")
+
+
+def test_ml_comparison_totals_exact_past_int64(capsys):
+    # 5 trials x 2^71 comparisons overflow any fixed-width integer; only
+    # exact integer tallies give the mean back as 2^71
+    argv = "ber --level 5 --sigma 0.5 --trials 5 --decoders ml".split()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split(",")[-1] == "2.36118324143e+21"
+    cfg = harness.SimConfig(level=5, trials_per_point=5, rng_seed=0, sigma_grid=(0.5,),
+                            decoders=("ml",))
+    assert [p.mean_comparisons for p in harness.run_ber_sweep(cfg)] == [2.0 ** 71]

@@ -142,6 +142,18 @@ def test_empirical_sampled_mode():
     assert abs(a - exhaustive) < 0.5
 
 
+@pytest.mark.parametrize("count, seed, message", [
+    (0, 0, "count (--samples) must be >= 1, got 0"),
+    (-3, 0, "count (--samples) must be >= 1, got -3"),
+    (5, -1, "seed (--seed) must be >= 0, got -1"),
+])
+def test_empirical_sampled_refuses_bad_count_and_seed(count, seed, message):
+    # a zero count divided by zero; a negative seed was a numpy traceback
+    with pytest.raises(ValueError) as exc:
+        empirical_avg_comparisons(build_codebook(2), mode="sampled", count=count, seed=seed)
+    assert str(exc.value) == message
+
+
 def test_empirical_exhaustive_bound():
     with pytest.raises(UdBoundError):
         empirical_avg_comparisons(build_codebook(4), mode="exhaustive")

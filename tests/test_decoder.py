@@ -644,10 +644,9 @@ def test_ml_residual_never_above_truth_or_fda(level):
 
 
 def test_ml_min_sum_names_no_level(monkeypatch):
-    # of the ML tables only the chunk sizes are keyed by level, so a level-6
-    # decode needs only the cap lifted and a chunk size
+    # a level past the measured chunk sizes takes its chunk rows from its leaf
+    # count, so a level-6 decode needs only the cap lifted
     monkeypatch.setattr(decoder, "ML_MAX_LEVEL", 6)
-    monkeypatch.setitem(decoder._ML_CHUNK, 6, 64)
     c = build_codebook(6)
     rng = np.random.default_rng(83)
     x = (2 * rng.integers(0, 2, size=(128, c.cols)) - 1).astype(np.int8)

@@ -9,11 +9,10 @@ from udcdma import harness
 from udcdma.channel import NOISE_BLOCK
 from udcdma.codebook import build_codebook
 from udcdma.harness import (
-    CSV_COLUMNS,
     MAX_WORKERS_PER_CPU,
     SimConfig,
     curve_to_csv,
-    emit_results,
+    curve_to_json,
     run_ber_sweep,
     wilson_interval,
 )
@@ -235,28 +234,22 @@ def test_csv_shape_and_header():
                                   decoders=("fda",)))
     text = curve_to_csv(pts)
     lines = text.strip().split("\n")
-    assert lines[0] == CSV_COLUMNS
+    assert lines[0] == ("snr_db,sigma,decoder,trials,bit_errors,ber,ci_low,ci_high,"
+                        "word_errors,wer,mean_comparisons")
     assert len(lines) == 2
     assert lines[1].split(",")[2] == "fda"
 
 
-def test_emit_json_round_trip(tmp_path):
+def test_emit_json_round_trip():
     cfg = small_cfg(trials_per_point=1000, snr_db_grid=(8.0,))
     pts = run_ber_sweep(cfg)
-    path = tmp_path / "curve.json"
-    emit_results(pts, "json", str(path), cfg)
-    parsed = json.loads(path.read_text())
+    parsed = json.loads(curve_to_json(pts, cfg))
     assert parsed["config"]["rng_seed"] == 5
     assert parsed["config"]["snr_convention"] == "ebn0"
     assert len(parsed["points"]) == len(pts)
     for raw, p in zip(parsed["points"], pts):
         assert raw["bit_errors"] == p.bit_errors
         assert math.isclose(raw["ber"], p.ber)
-
-
-def test_emit_refuses_empty(tmp_path):
-    with pytest.raises(ValueError):
-        emit_results([], "csv", str(tmp_path / "x.csv"))
 
 
 def test_raw_sigma_mode_csv_has_empty_snr_column(tmp_path):

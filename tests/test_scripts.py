@@ -11,6 +11,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(udcdma.__file__).resolve().parent.parent
 
 
+def run_script(script, args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args.split()],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("script, args, first_line", [
     ("ber_gap.py", "--level 2 --trials 4096 --snr-lo 8 --snr-hi 14 --step 2 --workers 2",
      "  8.00 dB  fda  ber="),
@@ -21,10 +28,25 @@ SRC = Path(udcdma.__file__).resolve().parent.parent
      f"{'level':>5} {'users':>6} {'analytic':>10} {'measured':>10} {'mode':>12}"),
 ])
 def test_script_runs_with_tiny_arguments(script, args, first_line):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args.split()],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = run_script(script, args)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout.startswith(first_line)
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("ber_gap.py", "--step 0", "--step must be positive"),
+    ("ber_gap.py", "--snr-lo 12 --snr-hi 10", "--snr-hi 10 is below --snr-lo 12"),
+    ("ber_gap.py", "--snr-lo nan", "--snr-lo, --snr-hi and --step must be finite"),
+    ("ber_gap.py", "--step 1e-12", "the grid has more than 10000 points"),
+    ("ber_gap.py", "--snr-hi=1e308 --snr-lo=-1e308", "the grid has more than 10000 points"),
+    ("ber_gap.py", "--trials 0", "trials_per_point must be >= 1"),
+    ("complexity_table.py", "--samples 0", "count (--samples) must be >= 1, got 0"),
+    ("complexity_table.py", "--seed -1", "seed (--seed) must be >= 0, got -1"),
+])
+def test_script_bad_arguments_end_in_a_usage_error(script, args, message):
+    done = run_script(script, args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert f"{script}: error: {message}" in done.stderr
