@@ -9,9 +9,8 @@ their own --snr-lo/--snr-hi.
 import argparse
 import math
 
-from udcdma.cli import MAX_GRID_POINTS
 from udcdma.decoder import ML_MAX_LEVEL
-from udcdma.harness import SimConfig, run_ber_sweep
+from udcdma.harness import SimConfig, grid_points, run_ber_sweep
 
 
 def crossing(points, decoder, target):
@@ -35,21 +34,10 @@ def main() -> None:
     ap.add_argument("--step", type=float, default=0.25)
     ap.add_argument("--workers", type=int, default=2)
     args = ap.parse_args()
-    if not all(math.isfinite(v) for v in (args.snr_lo, args.snr_hi, args.step)):
-        ap.error("--snr-lo, --snr-hi and --step must be finite")
-    if args.step <= 0:
-        ap.error(f"--step must be positive, got {args.step:g}")
-    if args.snr_hi < args.snr_lo:
-        ap.error(f"--snr-hi {args.snr_hi:g} is below --snr-lo {args.snr_lo:g}")
-    span = (args.snr_hi - args.snr_lo) / args.step
-    if not span < MAX_GRID_POINTS - 0.5:    # also refuses a span that overflows to inf
-        ap.error(f"the grid has more than {MAX_GRID_POINTS} points")
-
-    count = int(round(span)) + 1
-    grid = tuple(round(args.snr_lo + i * args.step, 6) for i in range(count))
     try:
         cfg = SimConfig(level=args.level, trials_per_point=args.trials, rng_seed=args.seed,
-                        snr_db_grid=grid, decoders=("fda", "ml"), workers=args.workers)
+                        snr_db_grid=grid_points(args.snr_lo, args.step, args.snr_hi),
+                        decoders=("fda", "ml"), workers=args.workers)
     except ValueError as exc:
         ap.error(str(exc))
     pts = run_ber_sweep(cfg)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -12,32 +11,19 @@ import numpy as np
 from . import codebook as cb
 from . import complexity as cx
 from .decoder import MlDecoder, fda_decode
-from .harness import SimConfig, curve_to_csv, curve_to_json, run_ber_sweep
+from .harness import SimConfig, curve_to_csv, curve_to_json, grid_points, run_ber_sweep
 
-# A sweep grid is refused past this many points, before any is built.
-MAX_GRID_POINTS = 10_000
 # A sampled complexity run is refused past this many words, before any
 # codebook is built: at about 570k words/s that is half an hour.
 MAX_SAMPLES = 10 ** 9
 
 
 def _parse_grid(text: str) -> tuple:
-    """Parse 'a:step:b' into an inclusive grid of floats."""
+    """Parse 'a:step:b' into the inclusive grid of ``harness.grid_points``."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid must look like a:step:b")
-    a, step, b = (float(p) for p in parts)
-    if not all(math.isfinite(v) for v in (a, step, b)):
-        raise ValueError(f"grid values must be finite, got {text!r}")
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    span = (b - a) / step
-    if not span < MAX_GRID_POINTS - 0.5:    # also refuses a span that overflows to inf
-        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    count = int(round(span)) + 1
-    if count < 1:
-        raise ValueError("empty grid")
-    return tuple(round(a + i * step, 12) for i in range(count))
+    return grid_points(*(float(p) for p in parts))
 
 
 def _cmd_gen(args) -> int:

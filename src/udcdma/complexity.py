@@ -155,6 +155,8 @@ def empirical_avg_comparisons(
     draws ``count`` uniform words with the given seed, block by block from
     one generator, so the words equal one ``(count, K)`` draw.
     """
+    if c.level < 2:
+        raise ValueError("complexity accounting starts at level 2")
     if mode == "exhaustive":
         totals = comparison_census(c)
         return sum(totals) / 2 ** c.cols

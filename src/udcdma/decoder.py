@@ -126,6 +126,14 @@ def _require_finite(y: np.ndarray, what: str, shown=None) -> None:
         raise ValueError(f"{what}: row {row}, chip {col} is {value}")
 
 
+def _block_of_one(y, rows: int) -> np.ndarray:
+    """One chip vector of ``rows`` chips as a (1, rows) block."""
+    chips = np.asarray(y, dtype=np.float64)
+    if chips.shape != (rows,):
+        raise ValueError(f"expected a chip vector of length {rows}, got shape {chips.shape}")
+    return chips[None, :]
+
+
 def _unit_chips(ys, rows: int, amplitude: float) -> np.ndarray:
     """Check an (N, rows) block of finite chips and divide out the amplitude."""
     y = np.asarray(ys, dtype=np.float64)
@@ -245,10 +253,7 @@ def fda_decode_batch(c: TernaryCodebook, ys, amplitude: float = 1.0):
 
 def fda_decode(c: TernaryCodebook, y, amplitude: float = 1.0) -> DecodeOutcome:
     """Decode one chip vector: ``fda_decode_batch`` on a block of one."""
-    chips = np.asarray(y, dtype=np.float64)
-    if chips.shape != (c.rows,):
-        raise ValueError(f"chip vector length {chips.shape} does not match {c.rows}")
-    words, comps = fda_decode_batch(c, chips[None, :], amplitude)
+    words, comps = fda_decode_batch(c, _block_of_one(y, c.rows), amplitude)
     return DecodeOutcome(word=words[0], comparisons=int(comps[0]))
 
 
@@ -409,7 +414,7 @@ class MlDecoder:
 
     def decode(self, y) -> DecodeOutcome:
         """Decode one chip vector as a batch of one."""
-        word = self.decode_batch(np.asarray(y, dtype=np.float64)[None, :])[0]
+        word = self.decode_batch(_block_of_one(y, self.rows))[0]
         return DecodeOutcome(word=word, comparisons=self.comparisons)
 
     def decode_batch(self, ys) -> np.ndarray:

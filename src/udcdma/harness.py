@@ -28,6 +28,23 @@ from .decoder import MlDecoder, fda_decode_batch
 _ROLE_DATA = 0
 _ROLE_NOISE = 1
 MAX_WORKERS_PER_CPU = 4
+# A sweep grid is refused past this many points, before any is built.
+MAX_GRID_POINTS = 10_000
+
+
+def grid_points(lo: float, step: float, hi: float) -> tuple:
+    """The inclusive grid lo, lo + step, ... that never passes hi, each point
+    rounded to 12 decimals; the span is rounded to 9 first, so 0:0.1:1 keeps 1."""
+    if not all(math.isfinite(v) for v in (lo, step, hi)):
+        raise ValueError(f"grid values must be finite, got {lo:g}:{step:g}:{hi:g}")
+    if step <= 0:
+        raise ValueError(f"grid step must be positive, got {step:g}")
+    if hi < lo:
+        raise ValueError(f"grid end {hi:g} is below its start {lo:g}")
+    span = round((hi - lo) / step, 9)
+    if not span < MAX_GRID_POINTS:     # also refuses a span that overflows to inf
+        raise ValueError(f"the grid has more than {MAX_GRID_POINTS} points")
+    return tuple(round(lo + i * step, 12) for i in range(math.floor(span) + 1))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -201,6 +203,18 @@ def test_grid_past_the_cap_refused():
     assert len(cli._parse_grid("0:1e-4:0.9999")) == 10_000
 
 
+def test_grid_without_three_parts_refused():
+    with pytest.raises(ValueError, match="grid must look like a:step:b"):
+        cli._parse_grid("0:1")
+
+
+def test_ber_grid_stops_at_its_end(capsys):
+    code, out, err = run_cli(capsys, "ber", "--level", "2", "--snr", "0:2:7", "--trials", "16",
+                             "--decoders", "fda")
+    assert code == 0 and err == ""
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0", "2", "4", "6"]
+
+
 def test_grid_span_past_the_float_range_diagnosed(capsys):
     code, out, err = run_cli(capsys, "ber", "--level", "2", "--snr=-1.7e308:1:1.7e308",
                              "--trials", "10")
@@ -325,6 +339,23 @@ def test_complexity_level_past_the_maximum_diagnosed(capsys, mode):
     assert err == "error: level 13 exceeds the supported maximum 12\n"
 
 
+@pytest.mark.parametrize("mode", ["analytic", "empirical", "both"])
+@pytest.mark.parametrize("samples", [[], ["--samples", "3"]])
+def test_complexity_level1_refused_alike_in_every_mode(capsys, mode, samples):
+    code, out, err = run_cli(capsys, "complexity", "--level", "1", "--mode", mode, *samples)
+    assert (code, out) == (1, "")
+    assert err == "error: complexity accounting starts at level 2\n"
+
+
+@pytest.mark.parametrize("decoder", ["fda", "ml"])
+@pytest.mark.parametrize("chips, shape", [("1,2,3", "(3,)"), ("5", "(1,)")])
+def test_decode_wrong_chip_count_diagnosed(capsys, decoder, chips, shape):
+    code, out, err = run_cli(capsys, "decode", "--level", "2", "--y", chips,
+                             "--decoder", decoder)
+    assert (code, out) == (1, "")
+    assert err == f"error: expected a chip vector of length 4, got shape {shape}\n"
+
+
 @pytest.mark.parametrize("decoder", ["fda", "ml"])
 @pytest.mark.parametrize("chips", ["inf,1,1,0", "nan,1,1,0"])
 def test_decode_non_finite_chips_diagnosed(capsys, chips, decoder):
@@ -419,3 +450,16 @@ def test_ml_comparison_totals_exact_past_int64(capsys):
     cfg = harness.SimConfig(level=5, trials_per_point=5, rng_seed=0, sigma_grid=(0.5,),
                             decoders=("ml",))
     assert [p.mean_comparisons for p in harness.run_ber_sweep(cfg)] == [2.0 ** 71]
+
+
+def test_readme_command_examples_parse():
+    # a renamed or removed flag fails here, not in a reader's shell
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words for words in lines if words and words[0] == "udcdma"]
+    assert commands
+    for words in commands:
+        cli.build_parser().parse_args(words[1:])

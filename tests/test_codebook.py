@@ -218,6 +218,16 @@ def test_max_ud_columns_rejects_bad_length():
             max_ud_columns(bad)
 
 
+@pytest.mark.parametrize("call", [verify_ud, matrix_to_csv])
+@pytest.mark.parametrize("matrix, message", [
+    ([1, 0, -1], "expected a 2-D matrix"),
+    ([[1, 0], [2, -1]], r"matrix entries must lie in \{-1, 0, \+1\}"),
+])
+def test_non_ternary_matrices_refused(call, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        call(matrix)
+
+
 def test_csv_and_json_exports():
     c = build_codebook(1)
     assert matrix_to_csv(c.entries) == "1,1,1\n1,0,-1\n"

@@ -389,6 +389,21 @@ def test_fda_rejects_level1_and_bad_shapes():
         fda_decode(C2, [8.0, 1.0, 1.0, 0.0], amplitude=0.0)
 
 
+@pytest.mark.parametrize("decode", [lambda y: fda_decode(C2, y), lambda y: MlDecoder(C2).decode(y)],
+                         ids=["fda", "ml"])
+@pytest.mark.parametrize("y, shape", [(5.0, "()"), ([1.0, 2.0, 3.0], "(3,)"),
+                                      (np.zeros((1, 4)), "(1, 4)")])
+def test_one_vector_entry_points_share_their_shape_check(decode, y, shape):
+    with pytest.raises(ValueError) as exc:
+        decode(y)
+    assert str(exc.value) == f"expected a chip vector of length 4, got shape {shape}"
+
+
+def test_ml_batch_refuses_a_block_of_the_wrong_width():
+    with pytest.raises(ValueError, match=r"expected an \(N, 4\) chip block, got shape \(5, 3\)"):
+        MlDecoder(C2).decode_batch(np.zeros((5, 3)))
+
+
 def test_batch_matches_scalar_noiseless():
     words, comps = fda_decode_batch8(CHIPS8)
     for i, y in enumerate(CHIPS8):

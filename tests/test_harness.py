@@ -13,6 +13,7 @@ from udcdma.harness import (
     SimConfig,
     curve_to_csv,
     curve_to_json,
+    grid_points,
     run_ber_sweep,
     wilson_interval,
 )
@@ -75,6 +76,34 @@ def test_worker_count_capped_per_cpu():
 def test_bad_grid_values_rejected(grid):
     with pytest.raises(ValueError, match="finite|>= 0"):
         SimConfig(level=2, trials_per_point=10, rng_seed=1, **grid)
+
+
+def test_grid_points_never_pass_the_end():
+    assert grid_points(0, 2, 7) == (0.0, 2.0, 4.0, 6.0)
+    assert grid_points(0, 2, 5) == (0.0, 2.0, 4.0)
+    assert grid_points(3, 1, 3) == (3.0,)
+    # the span is rounded before its floor, so a float quotient a hair under
+    # a whole number keeps its end
+    assert len(grid_points(0, 0.1, 1)) == 11
+    assert grid_points(0, 0.1, 0.3)[-1] == 0.3
+    assert len(grid_points(0, 1e-4, 0.9999)) == 10_000
+    assert grid_points(10.5, 0.25, 13) == tuple(10.5 + 0.25 * i for i in range(11))
+
+
+@pytest.mark.parametrize("lo, step, hi, message", [
+    (0, 1, math.inf, "grid values must be finite, got 0:1:inf"),
+    (math.nan, 1, 2, "grid values must be finite, got nan:1:2"),
+    (0, 0, 1, "grid step must be positive, got 0"),
+    (0, -1, 1, "grid step must be positive, got -1"),
+    (12, 1, 10, "grid end 10 is below its start 12"),
+    (0, 1e-5, 1, "the grid has more than 10000 points"),
+    (0, 1, 10_000, "the grid has more than 10000 points"),
+    (-1e308, 1e-300, 1e308, "the grid has more than 10000 points"),
+])
+def test_grid_points_refusals(lo, step, hi, message):
+    with pytest.raises(ValueError) as exc:
+        grid_points(lo, step, hi)
+    assert str(exc.value) == message
 
 
 def test_ml_bound_checked_before_work():

@@ -34,10 +34,19 @@ def test_script_runs_with_tiny_arguments(script, args, first_line):
     assert done.stdout.startswith(first_line)
 
 
+def test_ber_gap_grid_stops_at_its_end():
+    done = run_script("ber_gap.py", "--level 2 --trials 64 --snr-lo 0 --snr-hi 7 --step 2 "
+                                    "--workers 1")
+    assert done.returncode == 0, done.stderr
+    # one line per decoder and point, and none at 8 dB
+    sweep = [line[:9] for line in done.stdout.splitlines() if " dB  " in line]
+    assert sweep == [f"{db:6.2f} dB" for db in (0, 0, 2, 2, 4, 4, 6, 6)]
+
+
 @pytest.mark.parametrize("script, args, message", [
-    ("ber_gap.py", "--step 0", "--step must be positive"),
-    ("ber_gap.py", "--snr-lo 12 --snr-hi 10", "--snr-hi 10 is below --snr-lo 12"),
-    ("ber_gap.py", "--snr-lo nan", "--snr-lo, --snr-hi and --step must be finite"),
+    ("ber_gap.py", "--step 0", "grid step must be positive, got 0"),
+    ("ber_gap.py", "--snr-lo 12 --snr-hi 10", "grid end 10 is below its start 12"),
+    ("ber_gap.py", "--snr-lo nan", "grid values must be finite, got nan:0.25:13"),
     ("ber_gap.py", "--step 1e-12", "the grid has more than 10000 points"),
     ("ber_gap.py", "--snr-hi=1e308 --snr-lo=-1e308", "the grid has more than 10000 points"),
     ("ber_gap.py", "--trials 0", "trials_per_point must be >= 1"),
