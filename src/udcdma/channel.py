@@ -17,6 +17,11 @@ import numpy as np
 from .codebook import TernaryCodebook
 
 NOISE_BLOCK = 4096
+# OpenBLAS runs a dgemm of at most 4 * 65536 multiply-adds on one thread.
+# Threaded, the spread of 4096 level-3 words in one product took a median of
+# 6.3 ms a call between ML decodes on a 2-CPU machine, against 0.14 ms in
+# pieces below this size.
+_SPREAD_MACS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -32,10 +37,21 @@ class ChannelConfig:
 
 
 def spread_many(c: TernaryCodebook, words: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
-    """Row-wise spreading of a (trials, K) matrix of antipodal words."""
-    chips = words.astype(np.int64) @ c.entries.T.astype(np.int64)
+    """Row-wise spreading of a (trials, K) matrix of antipodal words.
+
+    One float64 product, times the amplitude: every partial sum is an
+    integer of size at most K, so the product is exact in any summation
+    order.  Rows go in pieces of at most ``_SPREAD_MACS`` multiply-adds, or
+    all at once where one row alone is larger.
+    """
+    entries = c.entries.T.astype(np.float64)
+    step = _SPREAD_MACS // entries.size or max(len(words), 1)
+    chips = np.empty((len(words), c.rows))
+    for lo in range(0, len(words), step):
+        np.matmul(words[lo:lo + step].astype(np.float64), entries, out=chips[lo:lo + step])
     with np.errstate(over="ignore"):            # the decoders refuse an inf chip
-        return amplitude * chips.astype(np.float64)
+        chips *= amplitude
+    return chips
 
 
 def _rng(seed: int, stream: int, block: int) -> np.random.Generator:

@@ -14,7 +14,8 @@ from .decoder import MlDecoder, fda_decode
 from .harness import SimConfig, curve_to_csv, curve_to_json, grid_points, run_ber_sweep
 
 # A sampled complexity run is refused past this many words, before any
-# codebook is built: at about 570k words/s that is half an hour.
+# codebook is built: at the 410k words/s of a level-5 census (2.1M at level
+# 3) that is about 40 minutes.
 MAX_SAMPLES = 10 ** 9
 
 

@@ -34,8 +34,11 @@ EXHAUSTIVE_BOUND = 17
 # Words decoded per batch call, which bounds the decoder's scratch memory.
 _DECODE_BLOCK = 1 << 16
 # Fewer words per call at high levels: a block's int64 draw and float64 chips
-# (8 * (cols + rows) bytes a word) stay within this budget.  Levels 2 and 3
-# still decode 65,536 words a call.
+# (8 * (cols + rows) bytes a word) stay within this budget.  The spread's
+# float64 copy of the words adds at most 512 KiB up to level 8, one piece of
+# its product, and 8 * cols bytes a word from level 9 on, where a single row
+# passes the piece size and the block is one product.  Levels 2 and 3 still
+# decode 65,536 words a call.
 _BLOCK_BYTES = 1 << 24
 
 # Reference per-count comparison totals for the 4x8 codebook (counts of -1s

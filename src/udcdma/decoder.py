@@ -39,8 +39,10 @@ least count, which takes at each split the argmin for the count it was
 handed; the rare rows with an exact tie on that path are decided again,
 lexicographically.  A level-2 half has no chip for user 4, so it scores the
 128 words of the other seven users.  Level 2 itself is one float64 product
-and argmin over its 256 words.  ``MlDecoder.decode`` decodes one vector as a
-batch of one.
+and argmin over its 256 words.  Before any of this, a row whose chips lie
+within half the minimum distance of a guess word's spread, by default the
+fast decoder's word, returns that word unscored: unique decodability makes
+it the ML word.  ``MlDecoder.decode`` decodes one vector as a batch of one.
 
 Quantizer conventions used throughout (all validated exhaustively by the
 noiseless round-trip suite):
@@ -61,6 +63,7 @@ from importlib.resources import files
 
 import numpy as np
 
+from .channel import spread_many
 from .codebook import TernaryCodebook, build_codebook, level_users
 
 _FLOAT_MAX = np.finfo(np.float64).max
@@ -286,7 +289,7 @@ _ML_LEAF_ROWS = 1024
 
 # The 256 level-2 words and their spreads, in index order.
 _WORDS8 = _all_words(8)
-_SPREAD8 = _WORDS8 @ build_codebook(2).entries.T.astype(np.int64)
+_SPREAD8 = spread_many(build_codebook(2), _WORDS8)
 # User 4's column is zero below the seed's all-ones row, so a level-2 half
 # (rows 1 on) scores only the other seven users: the 128 words with user 4 at
 # -1 (bit 3 clear), grouped by the seven users' -1 count m from
@@ -387,6 +390,35 @@ class MlDecoder:
     so each score is ``y.(-2t)`` with ``|t|^2`` added last.  Scores are
     float64, from the chips cast once to float32.  ``comparisons`` is 2^K,
     the hypothesis count of the brute-force ML the paper prices.
+
+    Before any of that, each row checks one guess word g, by default the
+    fast decoder's: a row whose float32 chips y have |y - a C g|^2 < 0.99 a^2
+    returns g unscored (Agrell, Eriksson, Vardy and Zeger, IEEE Trans. IT
+    2002: the ball of half the minimum distance lies in g's ML cell).  The
+    certificate is exact:
+
+    * for an antipodal word x != g, C (x - g) = 2 C d with d ternary and
+      nonzero, and C d is a nonzero integer vector by UD, so
+      |a C (x - g)| >= 2a.  The residual's own rounding moves its root by
+      less than 1e-12 a, so |y - a C g| <= r a with r < 0.995, and every
+      other word's exact score is larger by at least (2 - r)^2 a^2 - r^2 a^2
+      = 4 (1 - r) a^2 > 0.02 a^2;
+    * on such a row |y_r| <= a (K + 1), so each row's score term is at most
+      3 a^2 (K + 1)^2.  A score compared above is a float64 sum over the
+      2^L rows in which each term meets at most 2L + 5 roundings (the leaf
+      or level-2 table, its product, and two additions per split), so it is
+      off its exact value by at most gamma_{2L+5} 2^L 3 a^2 (K + 1)^2
+      (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4):
+      under 1e-9 a^2 at level 5 and 1e-7 a^2 at level 7;
+    * rounding is monotone, so the min-sum's least float score is the least
+      of the words' own float scores, and every word it returns, the tie
+      rerun's too, reaches it.  g's float score is the only one below the
+      others, so scoring the row would return g, with no tie.
+
+    These bounds are relative, which a rounding in the subnormal range is
+    not: it may add up to 2^-1075 more.  Where a^2 >= 2^-900 the few thousand
+    roundings of a score add far less than the 0.02 a^2 gap; below it no row
+    certifies.
     """
 
     def __init__(self, c: TernaryCodebook, amplitude: float = 1.0):
@@ -403,6 +435,10 @@ class MlDecoder:
                              f"past the float range")
         self.level, self.rows, self.users = c.level, c.rows, c.cols
         self.amplitude = amplitude
+        self._code = c
+        # the certificate's squared radius (class docstring); 0 certifies nothing
+        square = amplitude * amplitude
+        self._radius2 = 0.99 * square if square >= 2.0 ** -900 else 0.0
         self.comparisons = 1 << c.cols
         if c.level == 2:
             # scores |t|^2 - 2 y.t = [y, 1] @ [-2 t; |t|^2], the norm the last term
@@ -417,14 +453,42 @@ class MlDecoder:
         word = self.decode_batch(_block_of_one(y, self.rows))[0]
         return DecodeOutcome(word=word, comparisons=self.comparisons)
 
-    def decode_batch(self, ys) -> np.ndarray:
-        """Row-wise ML decode of an (N, rows) chip block into (N, K) int8 words."""
+    def decode_batch(self, ys, guess=None) -> np.ndarray:
+        """Row-wise ML decode of an (N, rows) chip block into (N, K) int8 words.
+
+        ``guess`` is an (N, K) block of +-1 words, by default the fast
+        decoder's words on the float32 chips.  A row within the certificate's
+        radius of its guess's spread returns the guess; only the other rows
+        are scored.
+        """
         y64 = np.asarray(ys, dtype=np.float64)
         if y64.ndim != 2 or y64.shape[1] != self.rows:
             raise ValueError(f"expected an (N, {self.rows}) chip block, got shape {y64.shape}")
         with np.errstate(over="ignore"):
             ys = y64.astype(np.float32)
         _require_finite(ys, "chips must be finite in float32", shown=y64)
+        if guess is None:
+            guess = fda_decode_batch(self._code, ys, self.amplitude)[0]
+        guess = np.asarray(guess)
+        if guess.shape != (len(ys), self.users) or not (np.abs(guess) == 1).all():
+            raise ValueError(f"guess must be a ({len(ys)}, {self.users}) block of +-1 words")
+        far = self._uncertified(ys, guess)
+        if len(far) == len(ys):
+            return self._score(ys)
+        out = guess.astype(np.int8)
+        out[far] = self._score(ys[far])
+        return out
+
+    def _uncertified(self, ys: np.ndarray, guess: np.ndarray) -> np.ndarray:
+        """The rows whose chips lie at least the certificate's radius from
+        their guess's spread; its temporaries are freed before any scoring."""
+        residual = spread_many(self._code, guess, self.amplitude)
+        with np.errstate(over="ignore"):            # past the float range: not certified
+            residual -= ys
+            return np.flatnonzero(np.einsum("ij,ij->i", residual, residual) >= self._radius2)
+
+    def _score(self, ys: np.ndarray) -> np.ndarray:
+        """The least-score words of an (N, rows) block of finite float32 chips."""
         n = len(ys)
         out = np.empty((n, self.users), dtype=np.int8)
         if self.level > 2:

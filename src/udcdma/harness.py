@@ -161,11 +161,14 @@ def _run_batch(pieces) -> list:
     # both decoders decode each row on its own, so a piece's tally does not
     # depend on the pieces stacked beside it
     out = [{} for _ in pieces]
+    guess = None
     for dec in _STATE["decoders"]:
         if dec == "fda":
             decoded, comps = fda_decode_batch(c, chips, amplitude)
+            guess = decoded
         else:
-            decoded = _STATE["ml"].decode_batch(chips)
+            # fda's words, where it ran first, spare ML its own guess decode
+            decoded = _STATE["ml"].decode_batch(chips, guess)
         wrong = decoded != words
         # users on rows: a piece's word errors are one sweep over its columns
         by_user = np.ascontiguousarray(wrong.T)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udcdma import channel
 from udcdma.channel import (
     NOISE_BLOCK,
     ChannelConfig,
@@ -50,6 +51,31 @@ def test_spread_linitivity(bits, amp):
     base = spread_many(C2, x)
     assert np.allclose(spread_many(C2, x, amp), amp * base)
     assert np.allclose(spread_many(C2, -x), -base)
+
+
+@pytest.mark.parametrize("pieces", ["rows", "one"])
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7])
+def test_spread_is_the_integer_product_times_the_amplitude(level, pieces, monkeypatch):
+    # every partial sum of the float64 product is an integer of size at most
+    # K, so each piece, on either side of a piece boundary, is exact; past
+    # the float range the chips overflow to inf, as the amplitude times the
+    # integer chips do.  "one": a row alone passes the limit, so the block is
+    # one product
+    c = build_codebook(level)
+    if pieces == "one":
+        monkeypatch.setattr(channel, "_SPREAD_MACS", c.entries.size - 1)
+    step = channel._SPREAD_MACS // c.entries.size
+    rng = np.random.default_rng(97 + level)
+    for n in sorted({0, 1, max(step - 1, 0), step, step + 1, 4096}):
+        words = (2 * rng.integers(0, 2, size=(n, c.cols)) - 1).astype(np.int8)
+        exact = (words.astype(np.int64) @ c.entries.T.astype(np.int64)).astype(np.float64)
+        for amplitude in (1.0, 0.7, 2.5, 1e308):
+            with np.errstate(over="ignore"):
+                want = amplitude * exact
+            got = spread_many(c, words, amplitude)
+            assert got.dtype == np.float64 and got.shape == (n, c.rows)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isinf(spread_many(c, words, 1e308)).any()
 
 
 def test_spread_injective_on_level2():

@@ -130,6 +130,20 @@ def test_ber_writes_deterministic_csv(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("level, trials", [(2, 5000), (3, 600), (4, 300)])
+def test_ber_ml_rows_do_not_depend_on_the_guess(level, trials, capsys):
+    # ML returns its guess on the rows the guess certifies: fda's words where
+    # fda ran first on a stack, else its own fast decode; both give the same rows
+    rows = {}
+    for decoders in ("fda,ml", "ml,fda", "ml"):
+        code, out, _ = run_cli(capsys, "ber", "--level", str(level), "--snr", "0:4:12",
+                               "--trials", str(trials), "--seed", "17", "--decoders", decoders)
+        assert code == 0
+        rows[decoders] = [line for line in out.splitlines() if ",ml," in line]
+    assert len(rows["ml"]) == 4
+    assert rows["fda,ml"] == rows["ml,fda"] == rows["ml"]
+
+
 def test_ber_stdout_csv(capsys):
     code, out, _ = run_cli(capsys, "ber", "--level", "2", "--sigma", "0",
                            "--trials", "100", "--decoders", "fda")

@@ -676,6 +676,81 @@ def test_ml_min_sum_names_no_level(monkeypatch):
     assert (r_ml <= residual(fda_decode_batch(c, ys)[0]) + 1e-9).all()
 
 
+def _certificate_inputs(c, rows, rng):
+    """Unit-amplitude chips and their true words: per radius rho, codewords
+    plus rho times a unit vector, then exact midpoints between two spreads
+    2 apart, each beside the word at its other end."""
+    x = (2 * rng.integers(0, 2, size=(6 * rows, c.cols)) - 1).astype(np.int8)
+    u = rng.normal(size=(5 * rows, c.rows))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    rho = np.repeat([0.9, 0.99, 0.995, 1.0, 1.01], rows)[:, None]
+    ys = spread_many(c, x)
+    ys[:5 * rows] += rho * u
+    # a column of weight one: flipping its user moves the spread by 2
+    other = x.copy()
+    other[5 * rows:, np.flatnonzero(np.abs(c.entries).sum(axis=0) == 1)[0]] *= -1
+    ys[5 * rows:] = (ys[5 * rows:] + spread_many(c, other[5 * rows:])) / 2.0
+    return ys, x, other
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7])
+def test_ml_certificate_returns_what_scoring_returns(level, monkeypatch):
+    # a row certified by its guess returns the guess unscored; it must be
+    # the very word that scoring the row returns, at every amplitude and for
+    # every guess, and a midpoint (a tie) must never certify
+    monkeypatch.setattr(decoder, "ML_MAX_LEVEL", 7)
+    score = MlDecoder._score
+    scored = []
+
+    def spy(self, ys):
+        scored.append(len(ys))
+        return score(self, ys)
+
+    monkeypatch.setattr(MlDecoder, "_score", spy)
+    c = build_codebook(level)
+    rows = 8
+    rng = np.random.default_rng(101 + level)
+    base, x, other = _certificate_inputs(c, rows, rng)
+    mid = slice(5 * rows, None)
+    skipped = 0
+    f32 = float(np.finfo(np.float32).max)
+    for amplitude in (1e-160, 1e-30, 0.7, 2.5, 0.999 * _ml_amplitude_limit(c)):
+        ml = MlDecoder(c, amplitude)
+        ys = np.clip(amplitude * base, -f32, f32)       # the largest amplitude: nothing certifies
+        want = score(ml, ys.astype(np.float32))
+        guesses = {"true": x, "fda": None, "other": other,
+                   "random": 2 * rng.integers(0, 2, size=x.shape) - 1}
+        for name, guess in guesses.items():
+            scored.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ml.decode_batch(ys, guess)
+                assert np.array_equal(got, want), (amplitude, name)
+                skipped += len(ys) - sum(scored)
+                if name == "true" and 1e-100 < amplitude < 1e100:
+                    assert sum(scored) <= len(ys) - 2 * rows     # rho 0.9 and 0.99 certify
+                scored.clear()
+                ml.decode_batch(ys[mid], None if guess is None else guess[mid])
+            assert sum(scored) == len(ys[mid]), (amplitude, name)
+        if amplitude < 1e-100:
+            assert skipped == 0          # a^2 below 2^-900 certifies nothing
+    assert skipped > 0
+
+
+def test_ml_guess_must_be_a_block_of_antipodal_words():
+    # a zero guess would "certify" small chips as the zero word
+    ml = MlDecoder(C3)
+    ys = np.random.default_rng(103).normal(0, 0.1, size=(6, C3.rows))
+    good = np.ones((6, C3.cols), dtype=np.int8)
+    bad = {"zeros": np.zeros_like(good), "shape": good[:5], "width": np.ones((6, C3.cols + 1)),
+           "flat": good.ravel(), "two": np.where(np.eye(6, C3.cols) > 0, 2, good),
+           "half": np.where(np.eye(6, C3.cols) > 0, 0.5, 1.0), "nan": np.full((6, C3.cols), np.nan)}
+    for guess in bad.values():
+        with pytest.raises(ValueError, match=r"guess must be a \(6, 17\) block of \+-1 words"):
+            ml.decode_batch(ys, guess)
+    assert np.array_equal(ml.decode_batch(ys, good.astype(float)), ml.decode_batch(ys))
+
+
 def test_constellation_points_descending():
     # zeta ranks the grid {hi, hi-step, ..., lo} from the high end
     z, zeta, _ = quantize(np.arange(8.0, -9.0, -2.0), -8, 8)
