@@ -18,6 +18,8 @@ def crossing(points, decoder, target):
     ys = [p.ber for p in points if p.decoder == decoder and p.bit_errors > 0]
     for i in range(len(xs) - 1):
         if ys[i] >= target >= ys[i + 1]:
+            if ys[i] == ys[i + 1]:          # a flat segment: its first point
+                return xs[i]
             t = (math.log(target) - math.log(ys[i])) / (math.log(ys[i + 1]) - math.log(ys[i]))
             return xs[i] + t * (xs[i + 1] - xs[i])
     return None
@@ -46,11 +48,13 @@ def main() -> None:
               f"errs={p.bit_errors}")
     s_fda = crossing(pts, "fda", args.target)
     s_ml = crossing(pts, "ml", args.target)
+    print()
+    for name, s in (("fast decoder", s_fda), ("ML", s_ml)):
+        if s is not None:
+            print(f"{name} reaches BER {args.target:g} at {s:.3f} dB")
     if s_fda is None or s_ml is None:
         print("target BER not bracketed by the grid; widen --snr-lo/--snr-hi")
         return
-    print(f"\nfast decoder reaches BER {args.target:g} at {s_fda:.3f} dB")
-    print(f"ML reaches BER {args.target:g} at {s_ml:.3f} dB")
     print(f"SNR penalty: {s_fda - s_ml:.3f} dB")
 
 

@@ -10,13 +10,9 @@ import numpy as np
 
 from . import codebook as cb
 from . import complexity as cx
+from .complexity import MAX_SAMPLES
 from .decoder import MlDecoder, fda_decode
 from .harness import SimConfig, curve_to_csv, curve_to_json, grid_points, run_ber_sweep
-
-# A sampled complexity run is refused past this many words, before any
-# codebook is built: at the 410k words/s of a level-5 census (2.1M at level
-# 3) that is about 40 minutes.
-MAX_SAMPLES = 10 ** 9
 
 
 def _parse_grid(text: str) -> tuple:
@@ -99,9 +95,9 @@ def _cmd_ber(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    # empirical_avg_comparisons refuses a count below 1 and a negative seed
-    # too, but only once a codebook is built; here both fail before any is,
-    # and --samples below 1 fails in every mode
+    # empirical_avg_comparisons refuses a count below 1 or past MAX_SAMPLES
+    # and a negative seed too, but only once a codebook is built; here they
+    # fail before any is, and a bad --samples fails in every mode
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.samples is not None and args.samples > MAX_SAMPLES:

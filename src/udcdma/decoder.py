@@ -137,21 +137,6 @@ def _block_of_one(y, rows: int) -> np.ndarray:
     return chips[None, :]
 
 
-def _unit_chips(ys, rows: int, amplitude: float) -> np.ndarray:
-    """Check an (N, rows) block of finite chips and divide out the amplitude."""
-    y = np.asarray(ys, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != rows:
-        raise ValueError(f"expected an (N, {rows}) chip block, got shape {y.shape}")
-    _require_finite(y, "chips must be finite")
-    if not (math.isfinite(amplitude) and amplitude > 0):
-        raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
-    if amplitude == 1.0:
-        return y
-    with np.errstate(over="ignore"):
-        # a quotient past the float range saturates like any huge chip
-        return np.clip(y / amplitude, -_FLOAT_MAX, _FLOAT_MAX)
-
-
 @functools.cache
 def _layout(level: int) -> tuple:
     """Where the tree nodes of a level-``level`` code sit, left to right; the
@@ -181,11 +166,10 @@ def _layout(level: int) -> tuple:
             row + np.arange(3)[:, None], (col[:, None] + np.arange(8)).ravel())
 
 
-def _decode_block(y: np.ndarray, n):
+def _decode_block(y: np.ndarray):
     """Fast decode of an (N, rows) block of unit-amplitude chips, one pass per
     tree level over the nodes of ``_layout``.
 
-    ``n`` holds each row's known -1 count, or None to read it off chip 0.
     Each split level quantizes the row sL - sR of all its nodes at once, as
     (N, nodes) integers from one rounding pass of the block; its nodes' halves
     get their counts this way, so they pay no first quantize, and the middle
@@ -194,7 +178,7 @@ def _decode_block(y: np.ndarray, n):
     the exact first chip 8 - 2n, and chips 1-3 from the same rounding pass.
     """
     level = y.shape[1].bit_length() - 1
-    if level == 2 and n is None:
+    if level == 2:
         # the block is one leaf, whose table quantizes chip 0: its one
         # rounding pass takes chips 0-2 up and chip 3 down
         y = y.T
@@ -205,12 +189,8 @@ def _decode_block(y: np.ndarray, n):
     users = level_users(level)
     rows, mids, leaf_rows, leaf_cols = _layout(level)
     c = _ceil(y, users + 2)                     # every grid lies in [-users, users]
-    if n is None:
-        i, comps = _q_grid(c[:, 0], -users, users)
-        n = users - i
-    else:
-        comps = 0
-    counts = n[:, None]
+    i, comps = _q_grid(c[:, 0], -users, users)
+    counts = (users - i)[:, None]
     words = np.empty((len(y), users), dtype=np.int8)
     for j in range(level, 2, -1):
         bound = 2 * np.minimum(counts, level_users(j) - counts)
@@ -218,7 +198,7 @@ def _decode_block(y: np.ndarray, n):
         # a saturated node (bound 0) is settled by its count: its one-point
         # split costs nothing, and its halves saturate too
         q -= bound == 0
-        comps = comps + q.sum(axis=1)
+        comps += q.sum(axis=1)
         # the split's point is z = 2i - bound, and the halves hold (2n -+ z) // 4
         # -1s; both counts always lie in their feasible ranges, so need no clip
         z = 2 * i - bound
@@ -251,7 +231,17 @@ def fda_decode_batch(c: TernaryCodebook, ys, amplitude: float = 1.0):
     """
     if c.level < 2:
         raise ValueError("fast decoding starts at level 2")
-    return _decode_block(_unit_chips(ys, c.rows, amplitude), None)
+    y = np.asarray(ys, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != c.rows:
+        raise ValueError(f"expected an (N, {c.rows}) chip block, got shape {y.shape}")
+    _require_finite(y, "chips must be finite")
+    if not (math.isfinite(amplitude) and amplitude > 0):
+        raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
+    if amplitude != 1.0:
+        with np.errstate(over="ignore"):
+            # a quotient past the float range saturates like any huge chip
+            y = np.clip(y / amplitude, -_FLOAT_MAX, _FLOAT_MAX)
+    return _decode_block(y)
 
 
 def fda_decode(c: TernaryCodebook, y, amplitude: float = 1.0) -> DecodeOutcome:
@@ -281,15 +271,18 @@ _ML_ROWS = 256
 # right after a cache-clearing probe.  A level past the table (a lifted cap)
 # takes _ML_LEAF_ROWS >> (j - 2) rows, 1 MiB of leaf scores: at level 6, 98
 # us per word at 64 rows against 126 at 32 and 247 at 128.  The same rule at
-# levels 3 and 4 (512 and 256 rows) won on 4096-row stacks but lost on the
-# shorter stacks of sweeps under 4096 trials (level 4, 384 rows: 7.2 against
-# 5.9 us per word, after a 32 MiB cache sweep), so the table stays.
+# levels 3 and 4 (512 and 256 rows) lost every one of 14 alternating
+# fresh-process pairs on level-4 stacks of 1536 noisy rows at 8 dB, median 7.0
+# against 5.5 us per word on a 2-CPU machine, though it won at 384 and 4096
+# rows (5.1 against 5.8, 5.0 against 6.1); at level 3 the two stayed within
+# the noise.  So the table stays.
 _ML_CHUNK = {3: 384, 4: 128, 5: 128}
 _ML_LEAF_ROWS = 1024
 
 # The 256 level-2 words and their spreads, in index order.
 _WORDS8 = _all_words(8)
-_SPREAD8 = spread_many(build_codebook(2), _WORDS8)
+_SEED = build_codebook(2)
+_SPREAD8 = spread_many(_SEED, _WORDS8)
 # User 4's column is zero below the seed's all-ones row, so a level-2 half
 # (rows 1 on) scores only the other seven users: the 128 words with user 4 at
 # -1 (bit 3 clear), grouped by the seven users' -1 count m from
@@ -672,6 +665,5 @@ def _leaf_lookup(r: np.ndarray):
 
 
 def fda_decode_batch8(ys: np.ndarray, amplitude: float = 1.0):
-    """Decode a (trials, 4) block of seed-codebook chip vectors, the 4x8 leaf,
-    as a level-2 block: (words, comparisons), one ``leaf8.npy`` entry a row."""
-    return _decode_block(_unit_chips(ys, 4, amplitude), None)
+    """``fda_decode_batch`` on the 4x8 seed codebook: one ``leaf8.npy`` entry a row."""
+    return fda_decode_batch(_SEED, ys, amplitude)

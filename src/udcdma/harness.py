@@ -10,6 +10,7 @@ see the same words and the same noise (common random numbers).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing
@@ -22,7 +23,7 @@ import numpy as np
 
 from .channel import (NOISE_BLOCK, ChannelConfig, ebn0_to_sigma, noise_block, random_words,
                       spread_many)
-from .codebook import TernaryCodebook, build_codebook
+from .codebook import build_codebook
 from .decoder import MlDecoder, fda_decode_batch
 
 _ROLE_DATA = 0
@@ -130,23 +131,12 @@ def wilson_interval(errors: int, total: int) -> tuple:
     return (max(0.0, centre - half), min(1.0, centre + half))
 
 
-_STATE: dict = {}
-
-
-def _init_state(c: TernaryCodebook, amplitude: float, decoders: Sequence[str]):
-    ml = MlDecoder(c, amplitude) if "ml" in decoders else None
-    _STATE["codebook"] = c
-    _STATE["amplitude"] = amplitude
-    _STATE["ml"] = ml
-    _STATE["decoders"] = tuple(decoders)
-
-
-def _run_batch(pieces) -> list:
+def _run_batch(state: tuple, pieces) -> list:
     """Decode a stack of trial pieces, one (seed, point, block, trials, sigma)
     each, and return one ``{decoder: (bit errors, word errors, comparisons)}``
-    tally per piece; a pure function of its arguments and _STATE."""
-    c: TernaryCodebook = _STATE["codebook"]
-    amplitude = _STATE["amplitude"]
+    tally per piece; ``state`` is the sweep's (codebook, amplitude, decoders,
+    ML decoder or None).  A pure function of its arguments."""
+    c, amplitude, decoders, ml = state
     # a short piece draws only its first rows, the same values as a full block
     words = [random_words(seed, 2 * point_idx + _ROLE_DATA, block, trials, c.cols)
              for seed, point_idx, block, trials, _ in pieces]
@@ -162,19 +152,19 @@ def _run_batch(pieces) -> list:
     # depend on the pieces stacked beside it
     out = [{} for _ in pieces]
     guess = None
-    for dec in _STATE["decoders"]:
+    for dec in decoders:
         if dec == "fda":
             decoded, comps = fda_decode_batch(c, chips, amplitude)
             guess = decoded
         else:
             # fda's words, where it ran first, spare ML its own guess decode
-            decoded = _STATE["ml"].decode_batch(chips, guess)
+            decoded = ml.decode_batch(chips, guess)
         wrong = decoded != words
         # users on rows: a piece's word errors are one sweep over its columns
         by_user = np.ascontiguousarray(wrong.T)
         for tally, lo, hi in zip(out, bounds, bounds[1:]):
             total_comps = (int(comps[lo:hi].sum()) if dec == "fda"
-                           else (hi - lo) * _STATE["ml"].comparisons)
+                           else (hi - lo) * ml.comparisons)
             tally[dec] = (int(np.count_nonzero(wrong[lo:hi])),
                           int(np.count_nonzero(by_user[:, lo:hi].any(axis=0))), total_comps)
     return out
@@ -213,7 +203,8 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
     tallies = [{d: [0, 0, 0] for d in cfg.decoders} for _ in points]
     trials_done = [0] * len(points)
 
-    _init_state(c, cfg.amplitude, cfg.decoders)
+    ml = MlDecoder(c, cfg.amplitude) if "ml" in cfg.decoders else None
+    run_batch = functools.partial(_run_batch, (c, cfg.amplitude, cfg.decoders, ml))
     pool = None
     try:
         active = list(range(len(points)))
@@ -231,9 +222,9 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
             if next_block == 0 and cfg.workers > 1 and len(batches) > 1:
                 pool = multiprocessing.get_context("fork").Pool(min(cfg.workers, len(batches)))
             if pool is not None:
-                outs = pool.map(_run_batch, batches)
+                outs = pool.map(run_batch, batches)
             else:
-                outs = [_run_batch(batch) for batch in batches]
+                outs = [run_batch(batch) for batch in batches]
             stopped = set()
             for (_, p, _, size, _), out in zip(pieces, (t for o in outs for t in o)):
                 if p in stopped:

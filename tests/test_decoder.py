@@ -31,7 +31,6 @@ from udcdma.decoder import (
     _decode_block,
     _leaf_cell,
     _leaf_table,
-    _unit_chips,
     fda_decode,
     fda_decode_batch,
     fda_decode_batch8,
@@ -166,22 +165,13 @@ def test_delta_params_frozen_values():
 
 
 def test_sub_decode8_zero_counts():
-    # a child leaf handed its count pays no first quantize; zero -1s costs nothing
-    words, comps = _decode_block(np.array([[8.0, 1.0, 1.0, 0.0]]), np.array([0]))
-    assert words.tolist() == [[1] * 8]
-    assert comps.tolist() == [0]
-
-
-def test_sub_decode8_saturated_counts():
-    # every count, every word: a known count saves exactly the first-quantize
-    # cost min(n+1, 9-n), so the two saturated counts cost nothing at all
-    n = (WORDS8 == -1).sum(axis=1)
-    top_words, top_comps = fda_decode_batch8(CHIPS8)
-    words, comps = _decode_block(CHIPS8, n)
-    assert np.array_equal(words, WORDS8) and np.array_equal(top_words, WORDS8)
-    assert np.array_equal(comps, top_comps - np.minimum(n + 1, 9 - n))
-    assert (comps[(n == 0) | (n == 8)] == 0).all()
-    assert (comps[(n > 0) & (n < 8)] >= 1).all()
+    # an all-+1 or all--1 word pays its one first-chip test and nothing more:
+    # every split and every leaf below is handed a saturated count
+    for c in (C3, C4):
+        x = np.array([[1] * c.cols, [-1] * c.cols])
+        words, comps = fda_decode_batch(c, spread_many(c, x))
+        assert np.array_equal(words, x)
+        assert comps.tolist() == [1, 1]
 
 
 def test_right_decode_single_negative_at_slot6():
@@ -539,6 +529,23 @@ def test_ml_level2_matches_oracle_at_chunk_edges(n, amplitude):
         assert np.array_equal(words, ml_oracle(C2, ys, amplitude))
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1, "twice"])
+@pytest.mark.parametrize("level", [3, 4])
+def test_ml_split_levels_match_single_rows_at_chunk_edges(level, extra):
+    # a block of N rows, N at the chunk size plus -1, 0 or 1, or two chunks
+    # and one row, decodes as its rows do one at a time.  The negated sent
+    # words are a guess no row lies near, so every row is scored in chunks.
+    c = build_codebook(level)
+    step = decoder._ML_CHUNK[level]
+    n = 2 * step + 1 if extra == "twice" else step + extra
+    rng = np.random.default_rng(79 + n)
+    x = 2 * rng.integers(0, 2, size=(n, c.cols)) - 1
+    ys = spread_many(c, x) + rng.normal(0, 1.0, size=(n, c.rows))
+    ml = MlDecoder(c)
+    words = ml.decode_batch(ys, -x)
+    assert np.array_equal(words, [ml.decode(y).word for y in ys])
+
+
 @pytest.mark.parametrize("amplitude", [0.7, 1.3])
 def test_ml_level2_fused_scores_equal_oracle_sum(amplitude):
     # the unit fifth chip adds |t|^2 as the product's last inner term, so a
@@ -793,12 +800,11 @@ def test_leaf_table_ships_as_package_data():
     assert not _leaf_table().flags.writeable
 
 
-def _cells(y, n=None):
+def _cells(y):
     """The cells that a level-2 decode of the (M, 4) unit chips ``y`` finds
-    from its rounding pass, one array per chip; with counts ``n``, chip 0 is
-    the exact 8 - 2n."""
+    from its rounding pass, one array per chip."""
     with mock.patch.object(decoder, "_leaf_lookup", wraps=decoder._leaf_lookup) as lookup:
-        _decode_block(y, n)
+        _decode_block(y)
     flat = _leaf_cell(lookup.call_args.args[0])
     return np.unravel_index(flat.ravel(), _leaf_table().shape[:-1])
 
@@ -829,12 +835,6 @@ def _assert_cells_match_search(values):
     v = np.asarray(values, dtype=np.float64)
     y = np.stack([np.roll(v, k) for k in range(4)], axis=1)
     for got, want in zip(_cells(y), _searched_cells(y)):
-        assert np.array_equal(got, want)
-    # a leaf handed its count n reads chip 0 as the exact 8 - 2n
-    n = np.arange(len(y)) % 9
-    known = y.copy()
-    known[:, 0] = 8 - 2 * n
-    for got, want in zip(_cells(y, n), _searched_cells(known)):
         assert np.array_equal(got, want)
 
 
@@ -900,7 +900,7 @@ def test_leaf_table_is_exact_where_rounding_bites():
 def _exact_leaf(ys, amplitude=1.0):
     """The rules at chips moved out of float rounding's reach of a cut: a
     tiny nonzero chip to 1e-6 of its sign, a huge one past the outer cuts."""
-    y = _unit_chips(ys, 4, amplitude)
+    y = np.asarray(ys, dtype=np.float64) / amplitude
     tiny = (y != 0) & (np.abs(y) < 1e-6)
     return leaf_rules(np.where(tiny, np.copysign(1e-6, y), np.clip(y, -20.0, 20.0)))
 
@@ -946,14 +946,11 @@ def _fda_rows(c, kind, rng, n=160):
 @pytest.mark.parametrize("kind", _ROW_KINDS)
 @pytest.mark.parametrize("level", range(2, 9))
 def test_level_passes_match_the_recursion(level, kind):
-    # words and per-row comparisons, from chip 0 and from known counts
+    # words and per-row comparisons; above level 2 the recursion hands each
+    # leaf its count, as the level passes do
     c = build_codebook(level)
-    rng = np.random.default_rng(97 + level)
-    y = _fda_rows(c, kind, rng)
+    y = _fda_rows(c, kind, np.random.default_rng(97 + level))
     assert _same(fda_decode_batch(c, y), fda_recursion.decode_block(y, c.cols, None))
-    n = rng.integers(0, c.cols + 1, size=len(y))
-    y[:, 0] = c.cols - 2 * n
-    assert _same(_decode_block(y, n), fda_recursion.decode_block(y, c.cols, n))
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 from udcdma import harness
 from udcdma.channel import NOISE_BLOCK
 from udcdma.codebook import build_codebook
+from udcdma.decoder import MlDecoder
 from udcdma.harness import (
     MAX_WORKERS_PER_CPU,
     SimConfig,
@@ -193,10 +194,11 @@ def test_huge_trial_budget_stops_after_its_first_wave():
 @pytest.mark.parametrize("level, amplitude", [(2, 1.0), (3, 1.7)])
 def test_stacked_pieces_tally_as_pieces_alone(level, amplitude):
     # pieces from different points, sigmas 0 and above, one of them partial
-    harness._init_state(build_codebook(level), amplitude, ("fda", "ml"))
+    c = build_codebook(level)
+    state = (c, amplitude, ("fda", "ml"), MlDecoder(c, amplitude))
     pieces = [(5, 0, 0, 700, 0.0), (5, 3, 2, 1000, 0.6), (5, 1, 0, 37, 1.3), (9, 2, 1, 900, 0.9)]
-    stacked = harness._run_batch(pieces)
-    alone = [harness._run_batch([piece])[0] for piece in pieces]
+    stacked = harness._run_batch(state, pieces)
+    alone = [harness._run_batch(state, [piece])[0] for piece in pieces]
     assert stacked == alone
     assert stacked[0]["fda"][:2] == stacked[0]["ml"][:2] == (0, 0)
     assert all(t["fda"][0] > 0 for t in stacked[1:])
@@ -206,9 +208,9 @@ def test_batches_hold_at_most_one_noise_block(monkeypatch):
     rows = []
     run_batch = harness._run_batch
 
-    def counted(pieces):
+    def counted(state, pieces):
         rows.append(sum(piece[3] for piece in pieces))
-        return run_batch(pieces)
+        return run_batch(state, pieces)
 
     monkeypatch.setattr(harness, "_run_batch", counted)
     # 13 points of 1000 trials stack four to a batch, the remainder alone

@@ -43,6 +43,15 @@ def test_ber_gap_grid_stops_at_its_end():
     assert sweep == [f"{db:6.2f} dB" for db in (0, 0, 2, 2, 4, 4, 6, 6)]
 
 
+def test_ber_gap_flat_segment_at_the_target_crosses_at_its_start():
+    # ML's BER is exactly the target at 10 and 10.5 dB (8, 8 and 0 bit errors)
+    done = run_script("ber_gap.py", "--level 2 --trials 125 --snr-lo 10 --snr-hi 11 --step 0.5 "
+                                    "--workers 1 --seed 7 --target 8e-3")
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "ML reaches BER 0.008 at 10.000 dB" in done.stdout.splitlines()
+
+
 @pytest.mark.parametrize("script, args, message", [
     ("ber_gap.py", "--step 0", "grid step must be positive, got 0"),
     ("ber_gap.py", "--snr-lo 12 --snr-hi 10", "grid end 10 is below its start 12"),
@@ -52,6 +61,8 @@ def test_ber_gap_grid_stops_at_its_end():
     ("ber_gap.py", "--trials 0", "trials_per_point must be >= 1"),
     ("complexity_table.py", "--samples 0", "count (--samples) must be >= 1, got 0"),
     ("complexity_table.py", "--seed -1", "seed (--seed) must be >= 0, got -1"),
+    ("complexity_table.py", "--samples 1000000001",
+     "--samples 1000000001 exceeds the maximum 1000000000"),
 ])
 def test_script_bad_arguments_end_in_a_usage_error(script, args, message):
     done = run_script(script, args)
