@@ -2,9 +2,10 @@
 """Measure the fast-decoder vs ML SNR penalty at a target BER for one code level.
 
 Both decoders see identical words and noise (common random numbers); the
-crossing SNRs come from log-linear interpolation on the sweep grid.  The
-default grid brackets BER 1e-3 at level 2 (the 4x8 code); other levels need
-their own --snr-lo/--snr-hi.
+crossing SNRs come from log-linear interpolation on the sweep grid.  A BER
+that falls to zero errors only bounds its crossing, and then no penalty is
+printed.  The default grid brackets BER 1e-3 at level 2 (the 4x8 code);
+other levels need their own --snr-lo/--snr-hi.
 """
 import argparse
 import math
@@ -14,14 +15,18 @@ from udcdma.harness import SimConfig, grid_points, run_ber_sweep
 
 
 def crossing(points, decoder, target):
-    xs = [p.snr_db for p in points if p.decoder == decoder and p.bit_errors > 0]
-    ys = [p.ber for p in points if p.decoder == decoder and p.bit_errors > 0]
+    """(SNR, interpolated) where the decoder's BER first falls to ``target``, or
+    None; a segment down to zero errors gives its upper SNR, not interpolated."""
+    xs = [p.snr_db for p in points if p.decoder == decoder]
+    ys = [p.ber for p in points if p.decoder == decoder]
     for i in range(len(xs) - 1):
         if ys[i] >= target >= ys[i + 1]:
-            if ys[i] == ys[i + 1]:          # a flat segment: its first point
-                return xs[i]
+            if ys[i] == target:             # on a grid point, as on a flat segment
+                return xs[i], True
+            if ys[i + 1] == 0:
+                return xs[i + 1], False
             t = (math.log(target) - math.log(ys[i])) / (math.log(ys[i + 1]) - math.log(ys[i]))
-            return xs[i] + t * (xs[i + 1] - xs[i])
+            return xs[i] + t * (xs[i + 1] - xs[i]), True
     return None
 
 
@@ -51,11 +56,14 @@ def main() -> None:
     print()
     for name, s in (("fast decoder", s_fda), ("ML", s_ml)):
         if s is not None:
-            print(f"{name} reaches BER {args.target:g} at {s:.3f} dB")
+            where = "at {:.3f} dB" if s[1] else "by {:.3f} dB (0 errors there, not interpolated)"
+            print(f"{name} reaches BER {args.target:g} " + where.format(s[0]))
     if s_fda is None or s_ml is None:
         print("target BER not bracketed by the grid; widen --snr-lo/--snr-hi")
-        return
-    print(f"SNR penalty: {s_fda - s_ml:.3f} dB")
+    elif not (s_fda[1] and s_ml[1]):
+        print("no SNR penalty: a crossing is not interpolated; raise --trials or refine --step")
+    else:
+        print(f"SNR penalty: {s_fda[0] - s_ml[0]:.3f} dB")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 exhaustive (levels 2-3) or sampled (level 4) measurements."""
 import argparse
 
-from udcdma.codebook import build_codebook
-from udcdma.complexity import analytic_T, empirical_avg_comparisons
+from udcdma.codebook import level_users
+from udcdma.complexity import complexity_report
 
 
 def main() -> None:
@@ -18,18 +18,14 @@ def main() -> None:
     # --seed ends in a usage error alone
     rows = [f"{'level':>5} {'users':>6} {'analytic':>10} {'measured':>10} {'mode':>12}"]
     for level in (2, 3, 4):
-        c = build_codebook(level)
-        if level <= 3:
-            measured = empirical_avg_comparisons(c, mode="exhaustive")
-            mode = "exhaustive"
-        else:
-            try:
-                measured = empirical_avg_comparisons(c, mode="sampled",
-                                                     count=args.samples, seed=args.seed)
-            except ValueError as exc:
-                ap.error(str(exc))
-            mode = f"sampled {args.samples}"
-        rows.append(f"{level:>5} {c.cols:>6} {analytic_T(level):>10.4f} {measured:>10.4f} {mode:>12}")
+        count = None if level <= 3 else args.samples
+        try:
+            rep = complexity_report(level, "both", count, args.seed)
+        except ValueError as exc:
+            ap.error(str(exc))
+        mode = "exhaustive" if count is None else f"sampled {count}"
+        rows.append(f"{level:>5} {level_users(level):>6} {rep['T']:>10.4f} "
+                    f"{rep['empirical_T']:>10.4f} {mode:>12}")
     print("\n".join(rows))
     print(f"\nML reference: 2^8, 2^17 and 2^35 hypotheses for levels 2, 3, 4.")
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from . import codebook as cb
 from . import complexity as cx
-from .complexity import MAX_SAMPLES
 from .decoder import MlDecoder, fda_decode
 from .harness import SimConfig, curve_to_csv, curve_to_json, grid_points, run_ber_sweep
 
@@ -95,25 +94,7 @@ def _cmd_ber(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    # empirical_avg_comparisons refuses a count below 1 or past MAX_SAMPLES
-    # and a negative seed too, but only once a codebook is built; here they
-    # fail before any is, and a bad --samples fails in every mode
-    if args.samples is not None and args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if args.samples is not None and args.samples > MAX_SAMPLES:
-        raise ValueError(f"--samples {args.samples} exceeds the maximum {MAX_SAMPLES}")
-    empirical = "exhaustive" if args.samples is None else "sampled"
-    # only sampled words read the seed
-    if empirical == "sampled" and args.mode != "analytic" and args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if args.mode == "empirical":
-        c = cb.build_codebook(args.level)
-        value = cx.empirical_avg_comparisons(c, mode=empirical, count=args.samples, seed=args.seed)
-        payload = {"level": args.level, "empirical_T": value}
-    else:
-        payload = cx.complexity_report(args.level, count=args.samples, seed=args.seed,
-                                       empirical=empirical if args.mode == "both" else None)
-    print(json.dumps(payload))
+    print(json.dumps(cx.complexity_report(args.level, args.mode, args.samples, args.seed)))
     return 0
 
 
@@ -147,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("ber", help="Monte-Carlo BER sweep")
     b.add_argument("--level", type=int, required=True)
-    b.add_argument("--snr", type=str, default=None, help="Eb/N0 grid a:step:b in dB")
+    b.add_argument("--snr", type=str, default=None,
+                   help="Eb/N0 grid a:step:b in dB; a negative start needs --snr=-2:2:10")
     b.add_argument("--sigma", type=str, default=None, help="comma-separated raw sigmas")
     b.add_argument("--trials", type=int, required=True)
     b.add_argument("--seed", type=int, default=0)

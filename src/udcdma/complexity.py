@@ -120,15 +120,6 @@ def analytic_T(i: int) -> float:
     return float(_recursion(i)[-1][3])
 
 
-def _exhaustive_words(c: TernaryCodebook) -> np.ndarray:
-    if c.cols > EXHAUSTIVE_BOUND:
-        raise UdBoundError(
-            f"exhaustive sweep over 2^{c.cols} words refused; "
-            f"bound is {EXHAUSTIVE_BOUND} users"
-        )
-    return _all_words(c.cols)
-
-
 def _block_rows(c: TernaryCodebook) -> int:
     return min(_DECODE_BLOCK, _BLOCK_BYTES // (8 * (c.cols + c.rows)))
 
@@ -141,12 +132,26 @@ def _comparisons(c: TernaryCodebook, words: np.ndarray) -> np.ndarray:
 def comparison_census(c: TernaryCodebook) -> list[int]:
     """Exhaustive per-count comparison totals: entry n sums the comparisons
     spent decoding every noiseless word with exactly n entries of -1."""
-    words = _exhaustive_words(c)
+    if c.cols > EXHAUSTIVE_BOUND:
+        raise UdBoundError(f"exhaustive sweep over 2^{c.cols} words refused; "
+                           f"bound is {EXHAUSTIVE_BOUND} users")
+    words = _all_words(c.cols)
     step = _block_rows(c)
     comps = np.concatenate([_comparisons(c, words[lo:lo + step])
                             for lo in range(0, len(words), step)])
     negatives = (words == -1).sum(axis=1)
     return [int(comps[negatives == n].sum()) for n in range(c.cols + 1)]
+
+
+def _check_sampling(count: int, seed: Optional[int]) -> None:
+    """Refuse a sample count outside 1..MAX_SAMPLES and, unless ``seed`` is
+    None (no sampled word reads it), a negative seed."""
+    if count < 1:
+        raise ValueError(f"count (--samples) must be >= 1, got {count}")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"--samples {count} exceeds the maximum {MAX_SAMPLES}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed (--seed) must be >= 0, got {seed}")
 
 
 def empirical_avg_comparisons(
@@ -168,12 +173,7 @@ def empirical_avg_comparisons(
         return sum(totals) / 2 ** c.cols
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    if count < 1:
-        raise ValueError(f"count (--samples) must be >= 1, got {count}")
-    if count > MAX_SAMPLES:
-        raise ValueError(f"--samples {count} exceeds the maximum {MAX_SAMPLES}")
-    if seed < 0:
-        raise ValueError(f"seed (--seed) must be >= 0, got {seed}")
+    _check_sampling(count, seed)
     rng = np.random.default_rng(seed)
     step = _block_rows(c)
     total = 0
@@ -185,18 +185,27 @@ def empirical_avg_comparisons(
 
 def complexity_report(
     level: int,
-    empirical: Optional[str] = None,
-    count: int = 100_000,
+    mode: str = "analytic",
+    count: Optional[int] = None,
     seed: int = 0,
 ) -> dict:
-    """The analytic numbers for one level, optionally with measurement, as
-    the ``complexity`` command prints them: exact integers as decimal
-    strings, averages as floats."""
+    """What the ``complexity`` command prints for ``--mode`` ``mode``: the
+    analytic numbers, the measured average alone (``empirical``) or both, the
+    average over ``count`` words drawn with ``seed``, or over all words where
+    ``count`` is None.  The sampling arguments, then the level, are checked
+    before any codebook is built.  Integers print as decimal strings."""
+    if mode not in ("analytic", "empirical", "both"):
+        raise ValueError(f"unknown mode {mode!r}")
+    sampled = count is not None
+    if sampled:
+        _check_sampling(count, None if mode == "analytic" else seed)
     check_level(level)
     emp = None
-    if empirical is not None:
-        emp = empirical_avg_comparisons(build_codebook(level), mode=empirical,
-                                        count=count, seed=seed)
+    if mode != "analytic":
+        emp = empirical_avg_comparisons(build_codebook(level),
+                                        "sampled" if sampled else "exhaustive", count, seed)
+        if mode == "empirical":
+            return {"level": level, "empirical_T": emp}
     rows = _recursion(level)
     g, h, u, t, _ = rows[-1]
     return {
@@ -207,5 +216,5 @@ def complexity_report(
         "T": float(t),
         "T_hat_prev": float(rows[-2][4]) if level >= 3 else None,
         "empirical_T": emp,
-        "sample_mode": empirical if empirical != "sampled" else f"sampled({count})",
+        "sample_mode": None if emp is None else (f"sampled({count})" if sampled else "exhaustive"),
     }

@@ -5,8 +5,9 @@ block).  A sweep runs in waves: each wave takes the next blocks of every
 grid point that has not stopped and decodes them as stacks of at most
 NOISE_BLOCK rows.  A block's words and noise depend only on its key, never
 on the stack that holds it, and each point merges its blocks in block order,
-so output bytes are identical for any worker count.  Both decoders
-see the same words and the same noise (common random numbers).
+so the points are identical for any worker count (the JSON config echo alone
+records ``workers``).  Both decoders see the same words and the same noise
+(common random numbers).
 """
 from __future__ import annotations
 

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,6 +133,31 @@ def test_ber_writes_deterministic_csv(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_ber_json_points_do_not_depend_on_the_worker_count(capsys):
+    # the config echo records --workers; the points must not
+    args = ["ber", "--level", "2", "--sigma", "0.5", "--trials", "5000", "--seed", "1",
+            "--format", "json"]
+    runs = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, *args, "--workers", workers)
+        assert code == 0
+        runs.append(json.loads(out))
+    one, two = runs
+    assert one["points"] == two["points"]
+    assert (one["config"]["workers"], two["config"]["workers"]) == (1, 2)
+    assert {**one["config"], "workers": 2} == two["config"]
+
+
+def test_ber_negative_snr_start_parses_in_the_equals_form(capsys):
+    # argparse reads a separate "-2:2:2" as an option; "--snr=-2:2:2" is one word
+    code, out, _ = run_cli(capsys, "ber", "--level", "2", "--snr=-2:2:2", "--trials", "50",
+                           "--decoders", "fda")
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[0].startswith("snr_db,")
+    assert [float(row.split(",")[0]) for row in rows[1:]] == [-2.0, 0.0, 2.0]
+
+
 @pytest.mark.parametrize("level, trials", [(2, 5000), (3, 600), (4, 300)])
 def test_ber_ml_rows_do_not_depend_on_the_guess(level, trials, capsys):
     # ML returns its guess on the rows the guess certifies: fda's words where
@@ -173,6 +201,20 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert code == 0 and json.loads(out)
     code, out, _ = run_cli(capsys, *ber)
     assert code == 0 and out.startswith("snr_db,sigma,decoder")
+
+
+def test_import_reads_no_table_and_builds_no_parser_or_pool():
+    # start-up cost: the leaf table, the tree layouts, the ML leaf scores and
+    # the parser wait for their first use, and no process pool is loaded
+    probe = ("import sys, udcdma.cli as cli, udcdma.decoder as d\n"
+             "caches = (d._leaf_table, d._ml_leaf, d._layout, d._split_index, cli._parser)\n"
+             "print([f.cache_info().currsize for f in caches],\n"
+             "      'multiprocessing.pool' in sys.modules)")
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0, 0, 0] False\n"
 
 
 def test_cli_main_builds_the_parser_once(monkeypatch, capsys):
@@ -309,11 +351,12 @@ def test_complexity_samples_below_one_diagnosed(capsys, mode, samples):
 def test_complexity_samples_past_the_maximum_diagnosed(capsys, mode, monkeypatch):
     # 10^12 words would run for weeks; the count is refused before any codebook exists
     monkeypatch.setattr(cb, "build_codebook", None)
+    monkeypatch.setattr(cx, "build_codebook", None)
     code, out, err = run_cli(capsys, "complexity", "--level", "3", "--mode", mode,
                              "--samples", str(10 ** 12))
     assert code == 1
     assert out == ""
-    assert err == f"error: --samples {10 ** 12} exceeds the maximum {cli.MAX_SAMPLES}\n"
+    assert err == f"error: --samples {10 ** 12} exceeds the maximum {cx.MAX_SAMPLES}\n"
 
 
 def test_ber_negative_seed_diagnosed(capsys):
@@ -328,11 +371,12 @@ def test_ber_negative_seed_diagnosed(capsys):
 def test_complexity_negative_seed_diagnosed(capsys, mode, monkeypatch):
     # refused before any codebook exists
     monkeypatch.setattr(cb, "build_codebook", None)
+    monkeypatch.setattr(cx, "build_codebook", None)
     code, out, err = run_cli(capsys, "complexity", "--level", "2", "--mode", mode,
                              "--samples", "5", "--seed", "-1")
     assert code == 1
     assert out == ""
-    assert err == "error: --seed must be >= 0, got -1\n"
+    assert err == "error: seed (--seed) must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("argv", [["--mode", "analytic", "--samples", "5"],

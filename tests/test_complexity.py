@@ -190,3 +190,29 @@ def test_report_json_round_trip():
     assert parsed["U"] == "129536"
     assert abs(parsed["T"] - 17.9813) < 1e-3
     assert parsed["empirical_T"] is None
+
+
+def test_empirical_report_runs_no_recursion(monkeypatch):
+    monkeypatch.setattr(complexity, "_recursion", None)
+    rep = complexity_report(2, "empirical", 1000, 3)
+    assert rep == {"level": 2, "empirical_T": empirical_avg_comparisons(
+        build_codebook(2), mode="sampled", count=1000, seed=3)}
+
+
+def test_report_both_names_its_sample_mode():
+    assert complexity_report(2, "both")["sample_mode"] == "exhaustive"
+    assert complexity_report(2, "both", 50, 1)["sample_mode"] == "sampled(50)"
+
+
+@pytest.mark.parametrize("mode, count, seed, message", [
+    ("analytic", 0, 0, "count (--samples) must be >= 1, got 0"),
+    ("both", 10 ** 12, -1, "--samples 1000000000000 exceeds the maximum 1000000000"),
+    ("empirical", 5, -1, "seed (--seed) must be >= 0, got -1"),
+    ("sampled", 5, 0, "unknown mode 'sampled'"),
+])
+def test_report_refuses_before_building_a_codebook(monkeypatch, mode, count, seed, message):
+    # the sampling arguments are checked before the level, here 13, is
+    monkeypatch.setattr(complexity, "build_codebook", None)
+    with pytest.raises(ValueError) as exc:
+        complexity_report(13, mode, count, seed)
+    assert str(exc.value) == message

@@ -52,6 +52,19 @@ def test_ber_gap_flat_segment_at_the_target_crosses_at_its_start():
     assert "ML reaches BER 0.008 at 10.000 dB" in done.stdout.splitlines()
 
 
+def test_ber_gap_fall_to_zero_errors_bounds_the_crossing():
+    # the fast decoder's BER falls from 1.0e-2 at 10.5 dB to 0 errors at 11 dB
+    done = run_script("ber_gap.py", "--level 2 --trials 125 --snr-lo 10 --snr-hi 11 --step 0.5 "
+                                    "--workers 1 --seed 7 --target 8e-3")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-3:] == [
+        "fast decoder reaches BER 0.008 by 11.000 dB (0 errors there, not interpolated)",
+        "ML reaches BER 0.008 at 10.000 dB",
+        "no SNR penalty: a crossing is not interpolated; raise --trials or refine --step",
+    ]
+
+
 @pytest.mark.parametrize("script, args, message", [
     ("ber_gap.py", "--step 0", "grid step must be positive, got 0"),
     ("ber_gap.py", "--snr-lo 12 --snr-hi 10", "grid end 10 is below its start 12"),
