@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -98,7 +99,10 @@ def _cmd_complexity(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``cli_main`` uses, built once per process; parsing leaves no
+    state in it, so in-process callers need not rebuild it per call."""
     p = argparse.ArgumentParser(
         prog="udcdma",
         description="Uniquely decodable ternary codes for overloaded CDMA: "
@@ -152,13 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``cli_main`` uses, built once per process; parsing leaves no
-    state in it, so in-process callers need not rebuild it per call."""
-    return build_parser()
-
-
 def cli_main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -169,4 +166,14 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(cli_main())
+    """The ``udcdma`` console script: ``cli_main`` on the process arguments.
+    A reader that closes stdout early, as ``| head`` does, ends it with exit
+    status 1 and no traceback."""
+    try:
+        code = cli_main()
+        sys.stdout.flush()                      # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

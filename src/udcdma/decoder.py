@@ -239,8 +239,9 @@ def fda_decode_batch(c: TernaryCodebook, ys, amplitude: float = 1.0):
         raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
     if amplitude != 1.0:
         with np.errstate(over="ignore"):
-            # a quotient past the float range saturates like any huge chip
-            y = np.clip(y / amplitude, -_FLOAT_MAX, _FLOAT_MAX)
+            # an infinite quotient saturates like any huge chip: every
+            # statistic is clipped before it is cast
+            y = y / amplitude
     return _decode_block(y)
 
 
@@ -261,22 +262,11 @@ def _all_words(users: int) -> np.ndarray:
 # its own; the cap stays until a level-6 decode has checks in place of the
 # brute force that no level past 3 admits.
 ML_MAX_LEVEL = 5
-# Level 2 scores chunks of this many rows into one 256 x 256 float64 buffer,
-# 512 KiB.
-_ML_ROWS = 256
-# Above it a level-j chunk has _ML_CHUNK[j] rows, whose leaf scores take 129
-# float64 per leaf and row; fewer rows pay more numpy calls per word, more
-# rows leave the cache.  At level 3 a 384-row chunk, one for a three-point
-# sweep of 128 trials, took 3.61 against 3.91 us per word for 128-row chunks,
-# right after a cache-clearing probe.  A level past the table (a lifted cap)
-# takes _ML_LEAF_ROWS >> (j - 2) rows, 1 MiB of leaf scores: at level 6, 98
-# us per word at 64 rows against 126 at 32 and 247 at 128.  The same rule at
-# levels 3 and 4 (512 and 256 rows) lost every one of 14 alternating
-# fresh-process pairs on level-4 stacks of 1536 noisy rows at 8 dB, median 7.0
-# against 5.5 us per word on a 2-CPU machine, though it won at 384 and 4096
-# rows (5.1 against 5.8, 5.0 against 6.1); at level 3 the two stayed within
-# the noise.  So the table stays.
-_ML_CHUNK = {3: 384, 4: 128, 5: 128}
+# A level-j block is scored in chunks of _ML_CHUNK[j] rows: fewer rows pay
+# more numpy calls per word, more rows leave the cache.  A level past the
+# table (a lifted cap) takes _ML_LEAF_ROWS >> (j - 2) rows, 1 MiB of leaf
+# scores.
+_ML_CHUNK = {2: 256, 3: 384, 4: 128, 5: 128}
 _ML_LEAF_ROWS = 1024
 
 # The 256 level-2 words and their spreads, in index order.
@@ -295,15 +285,6 @@ _LEAF_STARTS = np.cumsum([0] + [math.comb(7, m) for m in range(8)])
 _LEAF_GROUPS = np.array([np.pad(np.arange(s, e), (0, 35 - (e - s)), constant_values=128)
                          for s, e in zip(_LEAF_STARTS, _LEAF_STARTS[1:])])
 _LEAF_GROUP_WORDS = np.append(_LEAF_WORDS, 0)[_LEAF_GROUPS]
-
-
-@functools.cache
-def _ml_leaf(amplitude: float) -> np.ndarray:
-    """The leaf's scores |t|^2 - 2 y.t of the 128 seven-user spreads t as one
-    product, [-2 t, |t|^2] @ [y; 1], with the norm the last inner term; built
-    once per amplitude and shared, never written."""
-    leaf = amplitude * _SPREAD8[_LEAF_WORDS, 1:]
-    return np.hstack((-2.0 * leaf, (leaf ** 2).sum(axis=1, keepdims=True)))
 
 
 @functools.cache
@@ -379,7 +360,7 @@ class MlDecoder:
     least left half wins, then the middle user, then the right half.
 
     Level 2 scores its 256 words in one product and takes one argmin: the
-    chips get a unit fifth chip, and the table a fifth row of norms |t|^2,
+    chips get a unit fifth chip, and the table a fifth column of norms |t|^2,
     so each score is ``y.(-2t)`` with ``|t|^2`` added last.  Scores are
     float64, from the chips cast once to float32.  ``comparisons`` is 2^K,
     the hypothesis count of the brute-force ML the paper prices.
@@ -433,12 +414,10 @@ class MlDecoder:
         square = amplitude * amplitude
         self._radius2 = 0.99 * square if square >= 2.0 ** -900 else 0.0
         self.comparisons = 1 << c.cols
-        if c.level == 2:
-            # scores |t|^2 - 2 y.t = [y, 1] @ [-2 t; |t|^2], the norm the last term
-            table = amplitude * _SPREAD8
-            self._table = np.vstack((-2.0 * table.T, (table ** 2).sum(axis=1)))
-            return
-        self._leaf = _ml_leaf(amplitude)
+        # scores |t|^2 - 2 y.t = [-2 t, |t|^2] @ [y; 1], the norm the last term,
+        # of the 256 words at level 2 and of the leaf's 128 seven-user spreads above
+        t = amplitude * (_SPREAD8 if c.level == 2 else _SPREAD8[_LEAF_WORDS, 1:])
+        self._table = np.hstack((-2.0 * t, (t ** 2).sum(axis=1, keepdims=True)))
         self._ones = amplitude * (self.users - 2.0 * np.arange(self.users + 1))
 
     def decode(self, y) -> DecodeOutcome:
@@ -466,8 +445,6 @@ class MlDecoder:
         if guess.shape != (len(ys), self.users) or not (np.abs(guess) == 1).all():
             raise ValueError(f"guess must be a ({len(ys)}, {self.users}) block of +-1 words")
         far = self._uncertified(ys, guess)
-        if len(far) == len(ys):
-            return self._score(ys)
         out = guess.astype(np.int8)
         out[far] = self._score(ys[far])
         return out
@@ -482,21 +459,10 @@ class MlDecoder:
 
     def _score(self, ys: np.ndarray) -> np.ndarray:
         """The least-score words of an (N, rows) block of finite float32 chips."""
-        n = len(ys)
-        out = np.empty((n, self.users), dtype=np.int8)
-        if self.level > 2:
-            step = _ML_CHUNK.get(self.level, _ML_LEAF_ROWS >> (self.level - 2))
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                out[lo:hi] = self._decode_chunk(np.ascontiguousarray(ys[lo:hi].T, dtype=np.float64))
-            return out
-        aug = np.ones((n, 5))                   # a unit fifth chip adds |t|^2
-        aug[:, :4] = ys
-        scores = np.empty((min(n, _ML_ROWS), 256))
-        for lo in range(0, n, _ML_ROWS):
-            hi = min(lo + _ML_ROWS, n)
-            chunk = np.matmul(aug[lo:hi], self._table, out=scores[:hi - lo])
-            out[lo:hi] = _WORDS8[np.argmin(chunk, axis=1)]
+        out = np.empty((len(ys), self.users), dtype=np.int8)
+        step = _ML_CHUNK.get(self.level, _ML_LEAF_ROWS >> (self.level - 2))
+        for lo in range(0, len(ys), step):
+            out[lo:lo + step] = self._decode_chunk(ys[lo:lo + step])
         return out
 
     def _up(self, y: np.ndarray) -> tuple:
@@ -515,7 +481,7 @@ class MlDecoder:
         chips = np.ones((4,) + leaf_rows.shape[1:] + y.shape[1:])
         chips[:3] = y[leaf_rows]                        # a unit fourth chip adds |t|^2
         scores = np.empty((129,) + chips.shape[1:])
-        np.matmul(self._leaf, chips.reshape(4, -1), out=scores[:128].reshape(128, -1))
+        np.matmul(self._table, chips.reshape(4, -1), out=scores[:128].reshape(128, -1))
         scores[128] = np.inf
         low7 = np.full((11,) + chips.shape[1:], np.inf)
         for m in range(8):
@@ -536,10 +502,16 @@ class MlDecoder:
             low = np.minimum(pair[:-1], pair[1:])
         return nodes, low
 
-    def _decode_chunk(self, y: np.ndarray) -> np.ndarray:
-        """Words of a (rows, N) chunk of chips, one row per column: minima up,
-        the top's count, one descent, then ``_least`` on the rows whose path
-        tied."""
+    def _decode_chunk(self, ys: np.ndarray) -> np.ndarray:
+        """Words of an (N, rows) chunk of float32 chips.  Level 2 takes the
+        argmin of one product; above it the chips go to float64 with one row
+        per column: minima up, the top's count, one descent, then ``_least``
+        on the rows whose path tied."""
+        if self.level == 2:
+            aug = np.ones((len(ys), 5))                 # a unit fifth chip adds |t|^2
+            aug[:, :4] = ys
+            return _WORDS8[np.argmin(aug @ self._table.T, axis=1)]
+        y = np.ascontiguousarray(ys.T, dtype=np.float64)
         nodes, low = self._up(y)
         _, mids, _, leaf_cols = _layout(self.level)
         n = y.shape[1]

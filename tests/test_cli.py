@@ -204,31 +204,40 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
 
 
 def test_import_reads_no_table_and_builds_no_parser_or_pool():
-    # start-up cost: the leaf table, the tree layouts, the ML leaf scores and
-    # the parser wait for their first use, and no process pool is loaded
+    # start-up cost: the leaf table, the tree layouts, the ML split indices
+    # and the parser wait for their first use, and no process pool is loaded
     probe = ("import sys, udcdma.cli as cli, udcdma.decoder as d\n"
-             "caches = (d._leaf_table, d._ml_leaf, d._layout, d._split_index, cli._parser)\n"
+             "caches = (d._leaf_table, d._layout, d._split_index, cli._parser)\n"
              "print([f.cache_info().currsize for f in caches],\n"
              "      'multiprocessing.pool' in sys.modules)")
     src = Path(cli.__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 0, 0, 0, 0] False\n"
+    assert done.stdout == "[0, 0, 0, 0] False\n"
 
 
-def test_cli_main_builds_the_parser_once(monkeypatch, capsys):
-    builds = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+def test_cli_main_builds_the_parser_once(capsys):
     cli._parser.cache_clear()
-    try:
-        for _ in range(2):
-            assert run_cli(capsys, "gen", "--level", "1")[0] == 0
-    finally:
-        cli._parser.cache_clear()
-    assert len(builds) == 1
-    assert build() is not build()
+    for _ in range(2):
+        assert run_cli(capsys, "gen", "--level", "1")[0] == 0
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # the reader closes the pipe before the child writes, as `| head` may:
+    # the console script exits 1 and prints no traceback
+    src = Path(cli.__file__).resolve().parent.parent
+    argv = ["ber", "--level", "2", "--sigma", "0.5", "--trials", "50", "--seed", "1"]
+    for fmt in ("csv", "json"):
+        child = subprocess.Popen([sys.executable, "-c", "from udcdma.cli import main; main()",
+                                  *argv, "--format", fmt],
+                                 env=dict(os.environ, PYTHONPATH=str(src)),
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        child.stdout.close()
+        err = child.communicate(timeout=120)[1]
+        assert child.returncode == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_missing_subcommand_exits_2():
@@ -520,4 +529,4 @@ def test_readme_command_examples_parse():
     commands = [words for words in lines if words and words[0] == "udcdma"]
     assert commands
     for words in commands:
-        cli.build_parser().parse_args(words[1:])
+        cli._parser().parse_args(words[1:])

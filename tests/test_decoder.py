@@ -289,6 +289,14 @@ def test_fda_saturates_on_huge_and_rescaled_chips():
         assert out.word.tolist() == [1] * 8 and out.comparisons == 1
         words, comps = fda_decode_batch8([y], amplitude=a)
         assert words.tolist() == [[1] * 8] and comps.tolist() == [1]
+    # above level 2, quotients past the float range saturate as the largest
+    # finite chips do
+    big = np.finfo(np.float64).max
+    for c in (C3, C4):
+        signs = np.random.default_rng(c.level).integers(-1, 2, size=(64, c.rows)).astype(np.float64)
+        words, comps = fda_decode_batch(c, 1e300 * signs, amplitude=1e-300)
+        want_words, want_comps = fda_decode_batch(c, big * signs)
+        assert np.array_equal(words, want_words) and np.array_equal(comps, want_comps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -516,9 +524,9 @@ def test_ml_matches_brute_force_oracle(level, kind):
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 0.7])
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+@pytest.mark.parametrize("n", [0, 1] + [decoder._ML_CHUNK[2] + d for d in (-1, 0, 1)]
+                         + [2 * decoder._ML_CHUNK[2] + 88])
 def test_ml_level2_matches_oracle_at_chunk_edges(n, amplitude):
-    # one score buffer serves every 256-row chunk, sliced on a short last one
     rng = np.random.default_rng(71 + n)
     x = 2 * rng.integers(0, 2, size=(n, 8)) - 1
     ys = amplitude * (spread_many(C2, x) + rng.normal(0, 0.7, size=(n, 4)))
@@ -530,7 +538,7 @@ def test_ml_level2_matches_oracle_at_chunk_edges(n, amplitude):
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, "twice"])
-@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("level", [2, 3, 4])
 def test_ml_split_levels_match_single_rows_at_chunk_edges(level, extra):
     # a block of N rows, N at the chunk size plus -1, 0 or 1, or two chunks
     # and one row, decodes as its rows do one at a time.  The negated sent
@@ -550,11 +558,12 @@ def test_ml_split_levels_match_single_rows_at_chunk_edges(level, extra):
 def test_ml_level2_fused_scores_equal_oracle_sum(amplitude):
     # the unit fifth chip adds |t|^2 as the product's last inner term, so a
     # score is the oracle's norms - 2 y.t bit for bit; a BLAS that split the
-    # inner sum would fail here rather than move rounding-level ties
+    # inner sum would fail here rather than move rounding-level ties.  The
+    # product takes the table transposed, the operand ML multiplies by.
     t = amplitude * CHIPS8
     y = (amplitude * np.random.default_rng(73).normal(0, 2, size=(2000, 4))).astype(np.float32)
     y = y.astype(np.float64)
-    scores = np.hstack((y, np.ones((len(y), 1)))) @ MlDecoder(C2, amplitude)._table
+    scores = np.hstack((y, np.ones((len(y), 1)))) @ MlDecoder(C2, amplitude)._table.T
     assert np.array_equal(scores, (t ** 2).sum(axis=1) - 2.0 * (y @ t.T))
 
 
