@@ -219,7 +219,8 @@ def max_ud_columns(length: int) -> FtSearchResult:
 
     dim = 27                      # per-row sum grid: [-13, 13], plenty for depth <= 12
     offset = 13
-    strides = [dim ** r for r in range(length)]
+    # largest stride first: each candidate's first nonzero entry is +1, so each shift is positive
+    strides = [dim ** (length - 1 - r) for r in range(length)]
 
     def grid_pos(vec) -> int:
         return sum((v + offset) * s for v, s in zip(vec, strides))
@@ -236,8 +237,7 @@ def max_ud_columns(length: int) -> FtSearchResult:
         from the columns of ``avail`` that stay compatible."""
         nonlocal best_count, best_set
         delta = deltas[j]
-        child = reach | (reach << delta) if delta > 0 else reach | (reach >> -delta)
-        child |= reach >> delta if delta > 0 else reach << -delta
+        child = reach | (reach << delta) | (reach >> delta)
         chosen.append(j)
         if len(chosen) > best_count:
             best_count = len(chosen)

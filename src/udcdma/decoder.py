@@ -129,6 +129,14 @@ def _require_finite(y: np.ndarray, what: str, shown=None) -> None:
         raise ValueError(f"{what}: row {row}, chip {col} is {value}")
 
 
+def _chip_block(ys, rows: int) -> np.ndarray:
+    """``ys`` as an (N, rows) float64 block of chip vectors."""
+    y = np.asarray(ys, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != rows:
+        raise ValueError(f"expected an (N, {rows}) chip block, got shape {y.shape}")
+    return y
+
+
 def _block_of_one(y, rows: int) -> np.ndarray:
     """One chip vector of ``rows`` chips as a (1, rows) block."""
     chips = np.asarray(y, dtype=np.float64)
@@ -231,9 +239,7 @@ def fda_decode_batch(c: TernaryCodebook, ys, amplitude: float = 1.0):
     """
     if c.level < 2:
         raise ValueError("fast decoding starts at level 2")
-    y = np.asarray(ys, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != c.rows:
-        raise ValueError(f"expected an (N, {c.rows}) chip block, got shape {y.shape}")
+    y = _chip_block(ys, c.rows)
     _require_finite(y, "chips must be finite")
     if not (math.isfinite(amplitude) and amplitude > 0):
         raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
@@ -306,13 +312,12 @@ def _cells(r1: np.ndarray, low_l: np.ndarray, low_r: np.ndarray, h: int):
         yield nl, cell
 
 
-def _halves(n_l: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The (2 nodes, N) counts of the halves, left of node k at 2k and
-    right at 2k + 1, from each node's left count and pair count."""
-    counts = np.empty((2 * len(s), s.shape[1]), dtype=s.dtype)
-    counts[0::2] = n_l
-    np.subtract(s, n_l, out=counts[1::2])
-    return counts
+def _first_least(scores: np.ndarray, group: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The _WORDS8 index of seven-user group ``group``'s first least word in
+    the leaf scores (129, leaves, N), at flat offset ``at`` = leaf N + column
+    of a score row; index order makes it the group's least word."""
+    flat = _LEAF_GROUPS[group] * scores[0].size + at[..., None]
+    return _LEAF_GROUP_WORDS[group, np.argmin(scores.reshape(-1).take(flat), axis=-1)]
 
 
 def _choose(r1: np.ndarray, low: np.ndarray, s: np.ndarray, least: np.ndarray):
@@ -342,17 +347,18 @@ class MlDecoder:
 
     Minima go up one tree level at a time, with the level's nodes and the
     chunk's rows on the trailing axes, so each minimum is an elementwise
-    sweep.  The leaf is the level-2 half: user 4 has no chip there, so it
-    scores the 128 words of the other seven users, and user 4 moves a word
-    to the next count.  A split keeps its least cell per pair count
-    s = nL + nR, and per count the better middle user.  The top is a split
-    like any other: its all-ones row scores t_n (t_n - 2 y0) at -1 count n,
-    and the rows below add the split's least residual at n.
+    sweep.  A split keeps its least cell per pair count s = nL + nR, and the
+    leaf, the level-2 half, where user 4 has no chip, its least score per -1
+    count of the 128 words of the other seven users.  Every level then gives
+    count n the better middle user (user 4 at the leaf): -1 with slot n - 1,
+    or +1 with slot n.  The top is a split like any other: its all-ones row
+    scores t_n (t_n - 2 y0) at -1 count n, and the rows below add the
+    split's least residual at n.
 
-    Words come down by one descent: the top takes its least count, each
-    split the better middle user for the count it is handed and then the
-    argmin over nL at that pair count, and each leaf user 4's bit and the
-    first least word of the chosen seven-user group.  Exact ties go to the
+    Words come down by one descent: the top takes its least count, and each
+    level the better middle user for the count it is handed; a split then
+    takes the argmin over nL at that pair count, and a leaf the first least
+    word of the chosen seven-user group.  Exact ties go to the
     lexicographically smallest word, as a sweep over all 2^K words in index
     order would give.  Rows where the top's count or a choice on the path
     tied are decided again by one call of ``_least`` on the top's least
@@ -433,9 +439,7 @@ class MlDecoder:
         radius of its guess's spread returns the guess; only the other rows
         are scored.
         """
-        y64 = np.asarray(ys, dtype=np.float64)
-        if y64.ndim != 2 or y64.shape[1] != self.rows:
-            raise ValueError(f"expected an (N, {self.rows}) chip block, got shape {y64.shape}")
+        y64 = _chip_block(ys, self.rows)
         with np.errstate(over="ignore"):
             ys = y64.astype(np.float32)
         _require_finite(ys, "chips must be finite in float32", shown=y64)
@@ -467,39 +471,39 @@ class MlDecoder:
 
     def _up(self, y: np.ndarray) -> tuple:
         """Minima up, for a (rows, N) chunk of chips with one row per column:
-        the tables of each tree level, and the top's least residual of rows
-        1 on per -1 count, (K+2, 1, N) with a +inf row.
+        each tree level's tables (own, slot, low), and the top's least
+        residual of rows 1 on per -1 count, (K+2, 1, N) with a +inf row.
 
-        Level 2 gets the leaves' scores, (129, leaves, N) with +inf last, and
-        their least score per seven-user group m at m + 1 of (11, leaves, N),
-        +inf around.  Split level j gets its row 1, (2h+1, nodes, N), its
-        least cell per pair count s at s + 1 of (2h+4, nodes, N), +inf around,
-        and its halves' least residuals per count and a +inf row,
-        (h+2, 2 nodes, N).
+        ``slot`` holds a node's least residual per slot s at s + 1, +inf
+        around: the leaves' per seven-user group, (11, leaves, N), under their
+        ``own`` scores, (129, leaves, N) with +inf last, and a split's per
+        pair count, (2h+4, nodes, N), under its row 1, (2h+1, nodes, N).
+        ``low`` holds the halves' least residuals per count and a +inf row,
+        (h+2, 2 nodes, N), or is None at the leaves.
         """
         rows, _, leaf_rows, _ = _layout(self.level)
-        chips = np.ones((4,) + leaf_rows.shape[1:] + y.shape[1:])
-        chips[:3] = y[leaf_rows]                        # a unit fourth chip adds |t|^2
-        scores = np.empty((129,) + chips.shape[1:])
-        np.matmul(self._table, chips.reshape(4, -1), out=scores[:128].reshape(128, -1))
-        scores[128] = np.inf
-        low7 = np.full((11,) + chips.shape[1:], np.inf)
-        for m in range(8):
-            scores[_LEAF_STARTS[m]:_LEAF_STARTS[m + 1]].min(axis=0, out=low7[m + 1])
-        nodes = {2: (scores, low7)}
-        # count n: user 4 at -1 with group n - 1, or at +1 with group n
-        low = np.minimum(low7[:-1], low7[1:])
-        for j in range(3, self.level + 1):
-            # row sL - sR is 2 (nR - nL) at unit amplitude, at nR - nL + h
-            h = level_users(j - 1)
-            d = self.amplitude * (2.0 * np.arange(-h, h + 1))[:, None, None]
-            r1 = d * (d - 2.0 * y[rows[j]])
-            pair = np.full((2 * h + 4,) + r1.shape[1:], np.inf)
-            for nl, cell in _cells(r1, low[:, 0::2], low[:, 1::2], h):
-                np.minimum(pair[nl + 1:nl + h + 2], cell, out=pair[nl + 1:nl + h + 2])
-            nodes[j] = (r1, pair, low)
-            # count n: middle -1 with s = n - 1, or +1 with s = n
-            low = np.minimum(pair[:-1], pair[1:])
+        nodes, low = {}, None
+        for j in range(2, self.level + 1):
+            if j == 2:
+                chips = np.ones((4,) + leaf_rows.shape[1:] + y.shape[1:])
+                chips[:3] = y[leaf_rows]                # a unit fourth chip adds |t|^2
+                own = np.empty((129,) + chips.shape[1:])
+                np.matmul(self._table, chips.reshape(4, -1), out=own[:128].reshape(128, -1))
+                own[128] = np.inf
+                slot = np.full((11,) + chips.shape[1:], np.inf)
+                for m in range(8):
+                    own[_LEAF_STARTS[m]:_LEAF_STARTS[m + 1]].min(axis=0, out=slot[m + 1])
+            else:
+                # row sL - sR is 2 (nR - nL) at unit amplitude, at nR - nL + h
+                h = level_users(j - 1)
+                d = self.amplitude * (2.0 * np.arange(-h, h + 1))[:, None, None]
+                own = d * (d - 2.0 * y[rows[j]])
+                slot = np.full((2 * h + 4,) + own.shape[1:], np.inf)
+                for nl, cell in _cells(own, low[:, 0::2], low[:, 1::2], h):
+                    np.minimum(slot[nl + 1:nl + h + 2], cell, out=slot[nl + 1:nl + h + 2])
+            nodes[j] = (own, slot, low)
+            # count n: the middle user at -1 with slot n - 1, or at +1 with slot n
+            low = np.minimum(slot[:-1], slot[1:])
         return nodes, low
 
     def _decode_chunk(self, ys: np.ndarray) -> np.ndarray:
@@ -524,26 +528,24 @@ class MlDecoder:
         counts = np.argmin(total, axis=0)[None, :]
         col = np.arange(n)
         words = np.empty((n, self.users), dtype=np.int8)
-        for j in range(self.level, 2, -1):
-            r1, pair, low = nodes[j]
+        for j in range(self.level, 1, -1):
+            own, slot, low = nodes[j]
             k = np.arange(len(counts))[:, None]
-            below, above = pair[counts, k, col], pair[counts + 1, k, col]
-            plus = above < below                        # middle +1, s = n
+            below, above = slot[counts, k, col], slot[counts + 1, k, col]
+            tie |= (below == above).any(axis=0)
+            plus = above < below                        # middle user +1, slot n
             s = counts - 1 + plus
-            n_l, tied = _choose(r1, low, s, np.minimum(below, above))
-            tie |= (tied | (below == above)).any(axis=0)
+            if j == 2:
+                break
+            n_l, tied = _choose(own, low, s, np.minimum(below, above))
+            tie |= tied.any(axis=0)
             words[:, mids[j]] = (2 * plus - 1).T
-            counts = _halves(n_l, s)
-        scores, low7 = nodes[2]
-        k = np.arange(len(counts))[:, None]
-        below, above = low7[counts, k, col], low7[counts + 1, k, col]
-        tie |= (below == above).any(axis=0)
-        plus = above < below                            # user 4 at +1
-        group = counts - 1 + plus
-        at = _LEAF_GROUPS[group] * counts.size + (k * n + col)[..., None]
-        # the group's first least word, which index order makes its least word
-        pos = np.argmin(scores.reshape(-1).take(at), axis=-1)
-        leaves = _WORDS8[_LEAF_GROUP_WORDS[group, pos] + 8 * plus]
+            # the halves' counts, left of node k at 2k and right at 2k + 1
+            counts = np.empty((2 * len(s), n), dtype=s.dtype)
+            counts[0::2] = n_l
+            np.subtract(s, n_l, out=counts[1::2])
+        # each leaf: group s's first least word, user 4 from plus
+        leaves = _WORDS8[_first_least(own, s, k * n + col) + 8 * plus]
         words[:, leaf_cols] = leaves.transpose(1, 0, 2).reshape(n, -1)
         if tie.any():
             # rare on noisy chips: decide the tied rows again, lexicographically
@@ -557,26 +559,21 @@ class MlDecoder:
         -1 count where the (counts, len(cols)) mask ``counts`` is set: the
         least left half first, then the middle user, then the right half.
         Returns the words and their counts."""
+        own, slot, low = nodes[j]
+        slot = slot[:, k, cols]
+        g = len(slot) - 3                               # slots 0 to g - 1
+        # slot s serves count s + 1 with the middle user at -1, and count s at +1
+        minus = counts[1:] & (slot[1:g + 1] <= slot[2:g + 2])
+        plus = counts[:-1] & (slot[1:g + 1] <= slot[:g])
         if j == 2:
-            scores, low7 = nodes[2]
-            low7 = low7[:, k, cols]
-            pos = np.argmin(scores[:, k, cols][_LEAF_GROUPS], axis=1)
-            first = _LEAF_GROUP_WORDS[np.arange(8)[:, None], pos]
-            # group m with user 4 at -1 serves count m + 1, and at +1 count m
-            clear = counts[1:] & (low7[1:9] <= low7[2:10])
-            set_ = counts[:-1] & (low7[1:9] <= low7[:8])
-            best = np.minimum(np.where(clear, first, 256), np.where(set_, first + 8, 256))
+            first = _first_least(own, np.arange(8)[:, None], k * own.shape[2] + cols)
+            best = np.minimum(np.where(minus, first, 256), np.where(plus, first + 8, 256))
             words = _WORDS8[best.min(axis=0)]
             return words, np.count_nonzero(words < 0, axis=1)
-        r1, pair, low = nodes[j]
         h = len(low) - 2
-        pair = pair[:, k, cols]
-        # pair count s serves count s + 1 with the middle user at -1, and count s at +1
-        minus = counts[1:] & (pair[1:2 * h + 2] <= pair[2:2 * h + 3])
-        plus = counts[:-1] & (pair[1:2 * h + 2] <= pair[:2 * h + 1])
         tied = np.empty((h + 1, h + 1, len(cols)), dtype=bool)
-        for nl, cell in _cells(r1[:, k, cols], low[:, 2 * k, cols], low[:, 2 * k + 1, cols], h):
-            np.equal(cell, pair[nl + 1:nl + h + 2], out=tied[nl])
+        for nl, cell in _cells(own[:, k, cols], low[:, 2 * k, cols], low[:, 2 * k + 1, cols], h):
+            np.equal(cell, slot[nl + 1:nl + h + 2], out=tied[nl])
         # the candidate cells (nL, nR) with the middle user at -1 and at +1
         s = np.arange(h + 1)[:, None] + np.arange(h + 1)
         minus, plus = tied & minus[s], tied & plus[s]

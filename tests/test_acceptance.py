@@ -162,7 +162,8 @@ def test_criterion_7_ml_agreement_level2():
     w2 = _all_words(8)
     chips = spread_many(c2, w2).astype(np.float64)
     ml = MlDecoder(c2)
-    ok = bool((ml.decode_batch(chips) == w2).all())
+    # the negated words certify no row, so every row is scored
+    ok = bool((ml.decode_batch(chips, -w2) == w2).all())
     fda_words, _ = fda_decode_batch8(chips)
     ok &= bool((fda_words == w2).all())
     assert _line(7, ok, "ML equals the fast decoder on all 256 noiseless words")
@@ -172,7 +173,8 @@ def test_criterion_7_ml_agreement_level2():
 def test_criterion_7_ml_agreement_level3():
     c3 = build_codebook(3)
     w3 = _all_words(17)
-    ok = bool((MlDecoder(c3).decode_batch(spread_many(c3, w3)) == w3).all())
+    # the negated words certify no row, so every row is scored
+    ok = bool((MlDecoder(c3).decode_batch(spread_many(c3, w3), -w3) == w3).all())
     assert _line(7, ok, "ML recovers every noiseless level-3 word "
                         "(equals the fast decoder by criterion 4)")
 

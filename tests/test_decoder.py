@@ -442,8 +442,9 @@ def test_ml_noiseless_exact_and_comparisons():
 
 
 def test_ml_agrees_with_fda_level2_noiseless():
+    # the negated words certify no row, so every row is scored
     ml = MlDecoder(C2)
-    decoded = ml.decode_batch(CHIPS8)
+    decoded = ml.decode_batch(CHIPS8, -WORDS8)
     for x, w in zip(WORDS8, decoded):
         assert np.array_equal(x, w)
 
@@ -670,7 +671,8 @@ def test_ml_residual_never_above_truth_or_fda(level):
     assert (r_ml <= residual(x) + 1e-9).all()
     assert (r_ml <= residual(fda_words) + 1e-9).all()
     assert (r_ml < residual(fda_words) - 1e-9).any()
-    noiseless = MlDecoder(c).decode_batch(spread_many(c, x[:200]))
+    # scored, not certified: the negated words are a guess no row lies near
+    noiseless = MlDecoder(c).decode_batch(spread_many(c, x[:200]), -x[:200])
     assert np.array_equal(noiseless, x[:200])
 
 
@@ -682,7 +684,8 @@ def test_ml_min_sum_names_no_level(monkeypatch):
     rng = np.random.default_rng(83)
     x = (2 * rng.integers(0, 2, size=(128, c.cols)) - 1).astype(np.int8)
     ml = MlDecoder(c)
-    assert np.array_equal(ml.decode_batch(spread_many(c, x[:64])), x[:64])
+    # scored, not certified: the negated words are a guess no row lies near
+    assert np.array_equal(ml.decode_batch(spread_many(c, x[:64]), -x[:64]), x[:64])
     # chips float32 holds, so ML is exact on the very chips the residuals read
     ys = (spread_many(c, x) + rng.normal(0, 0.5, size=(128, c.rows))).astype(np.float32)
     ys = ys.astype(np.float64)
