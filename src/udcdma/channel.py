@@ -74,20 +74,16 @@ def random_words(seed: int, stream: int, block: int, trials: int, users: int) ->
     return (2 * g.integers(0, 2, size=(trials, users)) - 1).astype(np.int8)
 
 
-def mean_signature_energy(c: TernaryCodebook) -> float:
-    """Average squared column norm; for ternary entries, nonzeros per user."""
-    return float(np.count_nonzero(c.entries)) / c.cols
-
-
 def ebn0_to_sigma(ebn0_db: float, c: TernaryCodebook, amplitude: float = 1.0) -> float:
     """Per-chip noise deviation for a target per-user Eb/N0 in dB.
 
     Convention: Eb = A^2 * mean signature energy, N0 = 2 sigma^2, so
     sigma = sqrt(A^2 * w / (2 * 10^(dB/10))) with w the mean squared column
-    norm.  Signature energies are unequal across users; w averages them.
-    Raises ValueError where the formula leaves the float range.
+    norm, for ternary entries the nonzeros per user.  Signature energies are
+    unequal across users; w averages them.  Raises ValueError where the
+    formula leaves the float range.
     """
-    w = mean_signature_energy(c)
+    w = float(np.count_nonzero(c.entries)) / c.cols
     try:
         sigma = float(np.sqrt(amplitude**2 * w / (2.0 * 10.0 ** (ebn0_db / 10.0))))
     except (OverflowError, ZeroDivisionError):

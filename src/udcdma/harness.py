@@ -7,7 +7,9 @@ NOISE_BLOCK rows.  A block's words and noise depend only on its key, never
 on the stack that holds it, and each point merges its blocks in block order,
 so the points are identical for any worker count (the JSON config echo alone
 records ``workers``).  Both decoders see the same words and the same noise
-(common random numbers).
+(common random numbers).  fda decodes each stack once, and its words are
+ML's guess whatever the order of ``decoders``, which sets only the order of
+the tallies and of the output rows.
 """
 from __future__ import annotations
 
@@ -141,7 +143,7 @@ def _run_batch(state: tuple, pieces) -> list:
     # a short piece draws only its first rows, the same values as a full block
     words = [random_words(seed, 2 * point_idx + _ROLE_DATA, block, trials, c.cols)
              for seed, point_idx, block, trials, _ in pieces]
-    words = words[0] if len(words) == 1 else np.concatenate(words)
+    words = np.concatenate(words)
     chips = spread_many(c, words, amplitude)
     bounds = [0, *accumulate(piece[3] for piece in pieces)]
     for (seed, point_idx, block, trials, sigma), lo in zip(pieces, bounds):
@@ -149,18 +151,17 @@ def _run_batch(state: tuple, pieces) -> list:
             noise_cfg = ChannelConfig(noise_sigma=sigma, rng_seed=seed)
             stream = 2 * point_idx + _ROLE_NOISE
             chips[lo:lo + trials] += noise_block(noise_cfg, stream, block, c.rows, trials)
+    # fda decodes each stack once, and its words are ML's guess in any order
+    # of ``decoders``: the certificate keeps a guess only where it is the ML word
+    fast, comps = fda_decode_batch(c, chips, amplitude)
+    decoded = {"fda": fast}
+    if "ml" in decoders:
+        decoded["ml"] = ml.decode_batch(chips, fast)
     # both decoders decode each row on its own, so a piece's tally does not
     # depend on the pieces stacked beside it
     out = [{} for _ in pieces]
-    guess = None
     for dec in decoders:
-        if dec == "fda":
-            decoded, comps = fda_decode_batch(c, chips, amplitude)
-            guess = decoded
-        else:
-            # fda's words, where it ran first, spare ML its own guess decode
-            decoded = ml.decode_batch(chips, guess)
-        wrong = decoded != words
+        wrong = decoded[dec] != words
         # users on rows: a piece's word errors are one sweep over its columns
         by_user = np.ascontiguousarray(wrong.T)
         for tally, lo, hi in zip(out, bounds, bounds[1:]):
@@ -209,9 +210,8 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
     pool = None
     try:
         active = list(range(len(points)))
-        next_block = 0
-        while active:
-            wave = range(next_block, min(next_block + per_wave, n_blocks))
+        for first in range(0, n_blocks, per_wave):
+            wave = range(first, min(first + per_wave, n_blocks))
             # sized per wave: a huge budget that stops early on min_errors
             # must not list every block up front
             sizes = [min(NOISE_BLOCK, cfg.trials_per_point - b * NOISE_BLOCK) for b in wave]
@@ -220,7 +220,7 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
             batches = _batches(pieces)
             # no later wave has more batches than the first: fork no more
             # workers than it holds, and none for a single batch
-            if next_block == 0 and cfg.workers > 1 and len(batches) > 1:
+            if first == 0 and cfg.workers > 1 and len(batches) > 1:
                 pool = multiprocessing.get_context("fork").Pool(min(cfg.workers, len(batches)))
             if pool is not None:
                 outs = pool.map(run_batch, batches)
@@ -237,8 +237,9 @@ def run_ber_sweep(cfg: SimConfig) -> list[BerPoint]:
                 if cfg.min_errors is not None and all(
                         tallies[p][d][0] >= cfg.min_errors for d in cfg.decoders):
                     stopped.add(p)
-            next_block = wave.stop
-            active = [p for p in active if p not in stopped] if next_block < n_blocks else []
+            active = [p for p in active if p not in stopped]
+            if not active:
+                break
     finally:
         if pool is not None:
             pool.close()

@@ -11,7 +11,6 @@ from udcdma.channel import (
     ChannelConfig,
     _rng,
     ebn0_to_sigma,
-    mean_signature_energy,
     noise_block,
     random_words,
     spread_many,
@@ -144,10 +143,6 @@ def test_random_words_shape_and_determinism():
     b = random_words(1, 0, 0, NOISE_BLOCK, 8)
     assert (a == b).all()
     assert np.isin(a, (-1, 1)).all()
-
-
-def test_mean_signature_energy_level2():
-    assert mean_signature_energy(C2) == 3.0
 
 
 def test_ebn0_frozen_value():

@@ -154,6 +154,17 @@ def test_empirical_sampled_refuses_bad_count_and_seed(count, seed, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("refused, message", [
+    (lambda: analytic_G(1), "complexity accounting starts at level 2"),
+    (lambda: empirical_avg_comparisons(build_codebook(2), mode="sampeld"),
+     "unknown mode 'sampeld'"),
+], ids=["G-level-1", "unknown-mode"])
+def test_public_entries_refuse_what_they_cannot_count(refused, message):
+    with pytest.raises(ValueError) as exc:
+        refused()
+    assert str(exc.value) == message
+
+
 def test_empirical_exhaustive_bound():
     with pytest.raises(UdBoundError):
         empirical_avg_comparisons(build_codebook(4), mode="exhaustive")

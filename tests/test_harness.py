@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from udcdma import harness
+from udcdma import decoder, harness
 from udcdma.channel import NOISE_BLOCK
 from udcdma.codebook import build_codebook
 from udcdma.decoder import MlDecoder
@@ -202,6 +202,28 @@ def test_stacked_pieces_tally_as_pieces_alone(level, amplitude):
     assert stacked == alone
     assert stacked[0]["fda"][:2] == stacked[0]["ml"][:2] == (0, 0)
     assert all(t["fda"][0] > 0 for t in stacked[1:])
+
+
+def test_fast_decoder_runs_once_per_stack_in_any_order(monkeypatch):
+    # the harness's decode and ML's own guess decode both reach _decode_block
+    calls = []
+    decode_block = decoder._decode_block
+
+    def counted(y):
+        calls.append(len(y))
+        return decode_block(y)
+
+    monkeypatch.setattr(decoder, "_decode_block", counted)
+    c = build_codebook(2)
+    ml = MlDecoder(c)
+    pieces = [(5, 0, 0, 700, 0.6), (5, 1, 0, 300, 1.3)]
+    tallies = {}
+    for order in [("fda", "ml"), ("ml", "fda"), ("ml",)]:
+        calls.clear()
+        tallies[order] = harness._run_batch((c, 1.0, order, ml), pieces)
+        assert calls == [1000]
+    assert tallies[("ml", "fda")] == tallies[("fda", "ml")]
+    assert tallies[("ml",)] == [{"ml": t["ml"]} for t in tallies[("fda", "ml")]]
 
 
 def test_batches_hold_at_most_one_noise_block(monkeypatch):
