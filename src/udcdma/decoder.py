@@ -39,10 +39,11 @@ least count, which takes at each split the argmin for the count it was
 handed; the rare rows with an exact tie on that path are decided again,
 lexicographically.  A level-2 half has no chip for user 4, so it scores the
 128 words of the other seven users.  Level 2 itself is one float64 product
-and argmin over its 256 words.  Before any of this, a row whose chips lie
-within half the minimum distance of a guess word's spread, by default the
-fast decoder's word, returns that word unscored: unique decodability makes
-it the ML word.  ``MlDecoder.decode`` decodes one vector as a batch of one.
+and argmin over its 256 words.  Before any of this, a row returns a guess
+word unscored, by default the fast decoder's word, where the residual e of
+its chips from that word's spread has |e|^2 < 1.98 a^2 and every |e_r| <
+0.99 a: unique decodability makes it the ML word.  ``MlDecoder.decode``
+decodes one vector as a batch of one.
 
 Quantizer conventions used throughout (all validated exhaustively by the
 noiseless round-trip suite):
@@ -372,22 +373,26 @@ class MlDecoder:
     the hypothesis count of the brute-force ML the paper prices.
 
     Before any of that, each row checks one guess word g, by default the
-    fast decoder's: a row whose float32 chips y have |y - a C g|^2 < 0.99 a^2
-    returns g unscored (Agrell, Eriksson, Vardy and Zeger, IEEE Trans. IT
-    2002: the ball of half the minimum distance lies in g's ML cell).  The
+    fast decoder's.  Let e = y - a C g be the residual of its float32 chips
+    y.  A row with |e|^2 < 1.98 a^2 and every |e_r| < 0.99 a returns g
+    unscored: the ball of half the minimum distance (Agrell, Eriksson, Vardy
+    and Zeger, IEEE Trans. IT 2002) widened by sqrt(2), cut to a box.  The
     certificate is exact:
 
-    * for an antipodal word x != g, C (x - g) = 2 C d with d ternary and
-      nonzero, and C d is a nonzero integer vector by UD, so
-      |a C (x - g)| >= 2a.  The residual's own rounding moves its root by
-      less than 1e-12 a, so |y - a C g| <= r a with r < 0.995, and every
-      other word's exact score is larger by at least (2 - r)^2 a^2 - r^2 a^2
-      = 4 (1 - r) a^2 > 0.02 a^2;
-    * on such a row |y_r| <= a (K + 1), so each row's score term is at most
-      3 a^2 (K + 1)^2.  A score compared above is a float64 sum over the
-      2^L rows in which each term meets at most 2L + 5 roundings (the leaf
-      or level-2 table, its product, and two additions per split), so it is
-      off its exact value by at most gamma_{2L+5} 2^L 3 a^2 (K + 1)^2
+    * for an antipodal word x != g, x - g = 2 d with d ternary and nonzero,
+      and x's exact score exceeds g's by 4a (a |C d|^2 - e.C d).  C d is a
+      nonzero integer vector by UD.  The residual's own rounding moves |e|
+      and each |e_r| by less than 1e-12 a, so |e| < 1.4072 a and every
+      |e_r| < 0.9901 a.  Where |C d|^2 = 1, C d is a signed unit vector
+      +-u_r and x loses by at least 4a (a - |e_r|) > 0.039 a^2; where
+      |C d|^2 >= 2, by at least 4a |C d| (a |C d| - |e|) >= 4 sqrt(2) a
+      (sqrt(2) a - |e|) > 0.039 a^2;
+    * on such a row |y_r| <= a K + |e| < a (K + 2), so each row's score
+      term is at most 3 a^2 (K + 2)^2.  A score compared above is a float64
+      sum over the 2^L rows in which each term meets at most 2L + 5
+      roundings (the leaf or level-2 table, its product, and two additions
+      per split), so it is off its exact value by at most
+      gamma_{2L+5} 2^L 3 a^2 (K + 2)^2
       (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4):
       under 1e-9 a^2 at level 5 and 1e-7 a^2 at level 7;
     * rounding is monotone, so the min-sum's least float score is the least
@@ -397,7 +402,7 @@ class MlDecoder:
 
     These bounds are relative, which a rounding in the subnormal range is
     not: it may add up to 2^-1075 more.  Where a^2 >= 2^-900 the few thousand
-    roundings of a score add far less than the 0.02 a^2 gap; below it no row
+    roundings of a score add far less than the 0.039 a^2 gap; below it no row
     certifies.
     """
 
@@ -416,9 +421,10 @@ class MlDecoder:
         self.level, self.rows, self.users = c.level, c.rows, c.cols
         self.amplitude = amplitude
         self._code = c
-        # the certificate's squared radius (class docstring); 0 certifies nothing
-        square = amplitude * amplitude
-        self._radius2 = 0.99 * square if square >= 2.0 ** -900 else 0.0
+        # the certificate's squared radius and per-chip reach (class
+        # docstring); 0 certifies nothing
+        a = amplitude if amplitude * amplitude >= 2.0 ** -900 else 0.0
+        self._radius2, self._reach = 1.98 * a * a, 0.99 * a
         self.comparisons = 1 << c.cols
         # scores |t|^2 - 2 y.t = [-2 t, |t|^2] @ [y; 1], the norm the last term,
         # of the 256 words at level 2 and of the leaf's 128 seven-user spreads above
@@ -435,9 +441,9 @@ class MlDecoder:
         """Row-wise ML decode of an (N, rows) chip block into (N, K) int8 words.
 
         ``guess`` is an (N, K) block of +-1 words, by default the fast
-        decoder's words on the float32 chips.  A row within the certificate's
-        radius of its guess's spread returns the guess; only the other rows
-        are scored.
+        decoder's words on the float32 chips.  A row whose residual from its
+        guess's spread lies inside the certificate's ball and box returns the
+        guess; only the other rows are scored.
         """
         y64 = _chip_block(ys, self.rows)
         with np.errstate(over="ignore"):
@@ -454,12 +460,16 @@ class MlDecoder:
         return out
 
     def _uncertified(self, ys: np.ndarray, guess: np.ndarray) -> np.ndarray:
-        """The rows whose chips lie at least the certificate's radius from
-        their guess's spread; its temporaries are freed before any scoring."""
+        """The rows whose residual from their guess's spread reaches the
+        certificate's squared radius, or its reach on some chip; its
+        temporaries are freed before any scoring."""
         residual = spread_many(self._code, guess, self.amplitude)
         with np.errstate(over="ignore"):            # past the float range: not certified
             residual -= ys
-            return np.flatnonzero(np.einsum("ij,ij->i", residual, residual) >= self._radius2)
+            far = np.einsum("ij,ij->i", residual, residual) >= self._radius2
+        for chip in residual.T:
+            far |= np.abs(chip) >= self._reach
+        return np.flatnonzero(far)
 
     def _score(self, ys: np.ndarray) -> np.ndarray:
         """The least-score words of an (N, rows) block of finite float32 chips."""

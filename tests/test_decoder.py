@@ -695,20 +695,29 @@ def test_ml_min_sum_names_no_level(monkeypatch):
     assert (r_ml <= residual(fda_decode_batch(c, ys)[0]) + 1e-9).all()
 
 
+_RADII = (0.9, 0.99, 0.995, 1.0, 1.01, 1.2, 1.4, 1.41)
+_PUSHES = (0.98, 0.995, 1.0)
+
+
 def _certificate_inputs(c, rows, rng):
-    """Unit-amplitude chips and their true words: per radius rho, codewords
-    plus rho times a unit vector, then exact midpoints between two spreads
-    2 apart, each beside the word at its other end."""
-    x = (2 * rng.integers(0, 2, size=(6 * rows, c.cols)) - 1).astype(np.int8)
-    u = rng.normal(size=(5 * rows, c.rows))
+    """Unit-amplitude chips and their true words, ``rows`` per group: per
+    radius in ``_RADII``, codewords plus the radius times a random unit
+    vector; per push in ``_PUSHES``, codewords with one random chip moved by
+    the push; then exact midpoints between two spreads 2 apart, each beside
+    the word at its other end."""
+    spun, pushed = len(_RADII) * rows, len(_PUSHES) * rows
+    x = (2 * rng.integers(0, 2, size=(spun + pushed + rows, c.cols)) - 1).astype(np.int8)
+    u = rng.normal(size=(spun, c.rows))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rho = np.repeat([0.9, 0.99, 0.995, 1.0, 1.01], rows)[:, None]
     ys = spread_many(c, x)
-    ys[:5 * rows] += rho * u
+    ys[:spun] += np.repeat(_RADII, rows)[:, None] * u
+    sign = 2 * rng.integers(0, 2, size=pushed) - 1
+    ys[np.arange(spun, spun + pushed), rng.integers(0, c.rows, size=pushed)] += \
+        sign * np.repeat(_PUSHES, rows)
     # a column of weight one: flipping its user moves the spread by 2
     other = x.copy()
-    other[5 * rows:, np.flatnonzero(np.abs(c.entries).sum(axis=0) == 1)[0]] *= -1
-    ys[5 * rows:] = (ys[5 * rows:] + spread_many(c, other[5 * rows:])) / 2.0
+    other[-rows:, np.flatnonzero(np.abs(c.entries).sum(axis=0) == 1)[0]] *= -1
+    ys[-rows:] = (ys[-rows:] + spread_many(c, other[-rows:])) / 2.0
     return ys, x, other
 
 
@@ -716,7 +725,10 @@ def _certificate_inputs(c, rows, rng):
 def test_ml_certificate_returns_what_scoring_returns(level, monkeypatch):
     # a row certified by its guess returns the guess unscored; it must be
     # the very word that scoring the row returns, at every amplitude and for
-    # every guess, and a midpoint (a tie) must never certify
+    # every guess.  Under the true guess, the ball r^2 < 1.98 a^2 certifies
+    # each radius-1.2 row whose chips all lie within 0.99 a of the spread,
+    # and radius 1.41 never certifies.  One chip pushed 0.995 a or a, or a
+    # midpoint (a tie), never certifies under any guess
     monkeypatch.setattr(decoder, "ML_MAX_LEVEL", 7)
     score = MlDecoder._score
     scored = []
@@ -730,7 +742,13 @@ def test_ml_certificate_returns_what_scoring_returns(level, monkeypatch):
     rows = 8
     rng = np.random.default_rng(101 + level)
     base, x, other = _certificate_inputs(c, rows, rng)
-    mid = slice(5 * rows, None)
+    group = lambda k: slice(k * rows, (k + 1) * rows)
+    radius = lambda rho: group(_RADII.index(rho))
+    wide = np.flatnonzero(np.abs(base - spread_many(c, x))[radius(1.2)].max(axis=1) < 0.99)
+    wide += radius(1.2).start
+    assert len(wide) > 0
+    near = np.r_[radius(0.9), radius(0.99), group(len(_RADII))]    # and push 0.98
+    always = slice((len(_RADII) + 1) * rows, None)      # pushes 0.995 and 1.0, midpoints
     skipped = 0
     f32 = float(np.finfo(np.float32).max)
     for amplitude in (1e-160, 1e-30, 0.7, 2.5, 0.999 * _ml_amplitude_limit(c)):
@@ -747,10 +765,13 @@ def test_ml_certificate_returns_what_scoring_returns(level, monkeypatch):
                 assert np.array_equal(got, want), (amplitude, name)
                 skipped += len(ys) - sum(scored)
                 if name == "true" and 1e-100 < amplitude < 1e100:
-                    assert sum(scored) <= len(ys) - 2 * rows     # rho 0.9 and 0.99 certify
+                    for some, n_scored in [(near, 0), (wide, 0), (radius(1.41), rows)]:
+                        scored.clear()
+                        ml.decode_batch(ys[some], x[some])
+                        assert sum(scored) == n_scored, (amplitude, some)
                 scored.clear()
-                ml.decode_batch(ys[mid], None if guess is None else guess[mid])
-            assert sum(scored) == len(ys[mid]), (amplitude, name)
+                ml.decode_batch(ys[always], None if guess is None else guess[always])
+            assert sum(scored) == len(ys[always]), (amplitude, name)
         if amplitude < 1e-100:
             assert skipped == 0          # a^2 below 2^-900 certifies nothing
     assert skipped > 0

@@ -226,6 +226,24 @@ def test_fast_decoder_runs_once_per_stack_in_any_order(monkeypatch):
     assert tallies[("ml",)] == [{"ml": t["ml"]} for t in tallies[("fda", "ml")]]
 
 
+@pytest.mark.parametrize("level, grid, trials, want", [(2, range(13), 4096, 13333),
+                                                      (3, (4, 8, 12), 128, 184)])
+def test_ml_scores_only_the_rows_its_certificate_leaves(level, grid, trials, want, monkeypatch):
+    # the ber-l2 and ber-l3 sweeps at seed 1: a narrower certificate scores
+    # more rows (26,763 and 298 with the ball r^2 < 0.99 a^2 alone)
+    scored = []
+    score = MlDecoder._score
+
+    def spy(self, ys):
+        scored.append(len(ys))
+        return score(self, ys)
+
+    monkeypatch.setattr(MlDecoder, "_score", spy)
+    run_ber_sweep(SimConfig(level=level, trials_per_point=trials, rng_seed=1,
+                            snr_db_grid=tuple(map(float, grid)), workers=1))
+    assert sum(scored) == want
+
+
 def test_batches_hold_at_most_one_noise_block(monkeypatch):
     rows = []
     run_batch = harness._run_batch
