@@ -5,7 +5,8 @@ Words and noise are drawn in fixed-size trial blocks, each block keyed by
 partitioning of trials across workers therefore sees identical samples, and
 a longer run reproduces the prefix of a shorter one.  ``noise_block`` is the
 only noise draw; a sweep asks it for just the rows it keeps, which are the
-first rows of the full block.
+first rows of the full block.  Words are the top bits of raw PCG64 output
+(``_antipodal``), the values ``Generator.integers(0, 2)`` gives.
 """
 from __future__ import annotations
 
@@ -68,10 +69,29 @@ def noise_block(cfg: ChannelConfig, stream: int, block: int, nchips: int,
         return cfg.noise_sigma * g.standard_normal((trials, nchips))
 
 
+def _antipodal(bits: np.random.BitGenerator, n: int) -> np.ndarray:
+    """n int8 values of +-1: value i is the top bit of the i-th 32-bit half
+    of ``bits.random_raw``, each 64-bit output giving its low half first.
+
+    These are the values ``Generator.integers(0, 2, size=n)`` draws from the
+    same state: at range 2 its bounded draw (Lemire's method) keeps the top
+    bit of one ``next_uint32``, which splits each 64-bit output low half
+    first.  An odd n leaves the last high half unused, where numpy would
+    keep it for the next draw, so a caller drawing again must ask for an
+    even count.
+    """
+    raw = bits.random_raw((n + 1) // 2).astype("<u8", copy=False)
+    w = (raw.view("<u4")[:n] >> 31).astype(np.int8)
+    w += w
+    w -= 1
+    return w
+
+
 def random_words(seed: int, stream: int, block: int, trials: int, users: int) -> np.ndarray:
-    """A (trials, users) block of uniform antipodal words, same keying as noise."""
-    g = _rng(seed, stream, block)
-    return (2 * g.integers(0, 2, size=(trials, users)) - 1).astype(np.int8)
+    """A (trials, users) block of uniform antipodal words, same keying as
+    noise: the top bits of the block's raw PCG64 output, the values
+    ``Generator.integers(0, 2)`` gives."""
+    return _antipodal(_rng(seed, stream, block).bit_generator, trials * users).reshape(trials, users)
 
 
 def ebn0_to_sigma(ebn0_db: float, c: TernaryCodebook, amplitude: float = 1.0) -> float:

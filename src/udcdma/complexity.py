@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .codebook import TernaryCodebook, UdBoundError, build_codebook, check_level, level_users
-from .channel import spread_many
+from .channel import _antipodal, spread_many
 from .decoder import _all_words, fda_decode_batch
 
 EXHAUSTIVE_BOUND = 17
@@ -36,10 +36,12 @@ EXHAUSTIVE_BOUND = 17
 MAX_SAMPLES = 10 ** 9
 # Words decoded per batch call, which bounds the decoder's scratch memory.
 _DECODE_BLOCK = 1 << 16
-# Fewer words per call at high levels: a block's int64 draw and float64 chips
-# (8 * (cols + rows) bytes a word) stay within this budget.  The spread's
-# float64 copy of the words adds at most 512 KiB up to level 8, one piece of
-# its product, and 8 * cols bytes a word from level 9 on, where a single row
+# Fewer words per call at high levels: 8 * (cols + rows) bytes a word stay
+# within this budget.  A block's draw holds at most 9 bytes a user (4 of raw
+# PCG64 output and 4 of shifted 32-bit halves, both freed before the spread,
+# and the 1-byte word), then its chips take 8 * rows.  The spread's float64
+# copy of the words adds at most 512 KiB up to level 8, one piece of its
+# product, and 8 * cols bytes a word from level 9 on, where a single row
 # passes the piece size and the block is one product.  Levels 2 and 3 still
 # decode 65,536 words a call.
 _BLOCK_BYTES = 1 << 24
@@ -121,7 +123,9 @@ def analytic_T(i: int) -> float:
 
 
 def _block_rows(c: TernaryCodebook) -> int:
-    return min(_DECODE_BLOCK, _BLOCK_BYTES // (8 * (c.cols + c.rows)))
+    """Words per block: within the budget, and even, so that every sampled
+    block but the last draws whole 64-bit outputs (``_antipodal``)."""
+    return max(2, min(_DECODE_BLOCK, _BLOCK_BYTES // (8 * (c.cols + c.rows))) & ~1)
 
 
 def _comparisons(c: TernaryCodebook, words: np.ndarray) -> np.ndarray:
@@ -174,12 +178,13 @@ def empirical_avg_comparisons(
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     _check_sampling(count, seed)
-    rng = np.random.default_rng(seed)
+    bits = np.random.default_rng(seed).bit_generator
     step = _block_rows(c)
     total = 0
     for lo in range(0, count, step):
-        words = 2 * rng.integers(0, 2, size=(min(step, count - lo), c.cols)) - 1
-        total += int(_comparisons(c, words.astype(np.int8)).sum())
+        rows = min(step, count - lo)
+        words = _antipodal(bits, rows * c.cols).reshape(rows, c.cols)
+        total += int(_comparisons(c, words).sum())
     return total / count
 
 

@@ -138,6 +138,17 @@ def test_short_draws_are_prefixes_of_a_full_block(rows):
     assert np.array_equal(noise_block(cfg, 1, 2, 8, rows), noise_block(cfg, 1, 2, 8)[:rows])
 
 
+@pytest.mark.parametrize("trials,users", [(1, 17), (3, 17), (37, 17), (4095, 8), (4096, 8),
+                                          (2, 575)])
+@pytest.mark.parametrize("seed,stream,block", [(0, 0, 0), (1, 3, 2), (7, 24, 5), (2**40, 1, 9)])
+def test_random_words_equal_the_bounded_integer_draw(trials, users, seed, stream, block):
+    # odd and even value counts: the raw halves must give Generator.integers(0, 2)'s values
+    oracle = 2 * _rng(seed, stream, block).integers(0, 2, size=(trials, users)) - 1
+    words = random_words(seed, stream, block, trials, users)
+    assert words.dtype == np.int8 and words.shape == (trials, users)
+    assert np.array_equal(words, oracle.astype(np.int8))
+
+
 def test_random_words_shape_and_determinism():
     a = random_words(1, 0, 0, NOISE_BLOCK, 8)
     b = random_words(1, 0, 0, NOISE_BLOCK, 8)

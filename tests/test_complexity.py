@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from math import ceil, comb, floor
 
+import numpy as np
 import pytest
 
 from udcdma import complexity
@@ -173,10 +174,21 @@ def test_empirical_exhaustive_bound():
 def test_sampled_words_drawn_block_by_block_equal_one_draw(monkeypatch):
     c3 = build_codebook(3)
     one_block = empirical_avg_comparisons(c3, mode="sampled", count=1000, seed=5)
-    # 300 words a block: 1000 samples span four blocks
-    monkeypatch.setattr(complexity, "_BLOCK_BYTES", 300 * 8 * (c3.cols + c3.rows))
+    words = 2 * np.random.default_rng(5).integers(0, 2, size=(1000, c3.cols)) - 1
+    assert one_block == complexity._comparisons(c3, words.astype(np.int8)).sum() / 1000
+    # a budget of 301 words of 17 users, an odd count of values, is cut to an
+    # even 300 words a block: 1000 samples span four blocks
+    monkeypatch.setattr(complexity, "_BLOCK_BYTES", 301 * 8 * (c3.cols + c3.rows))
     assert complexity._block_rows(c3) == 300
     assert empirical_avg_comparisons(c3, mode="sampled", count=1000, seed=5) == one_block
+
+
+def test_blocks_hold_at_least_two_words(monkeypatch):
+    c3 = build_codebook(3)
+    one_block = empirical_avg_comparisons(c3, mode="sampled", count=7, seed=2)
+    monkeypatch.setattr(complexity, "_BLOCK_BYTES", 1)
+    assert complexity._block_rows(c3) == 2
+    assert empirical_avg_comparisons(c3, mode="sampled", count=7, seed=2) == one_block
 
 
 def test_blocks_shrink_only_past_level_3():
