@@ -10,6 +10,7 @@ scan, and runs the small-length maximal-column searches.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from decimal import Decimal
@@ -103,20 +104,45 @@ def build_codebook(level: int) -> TernaryCodebook:
     if level == 2:
         return TernaryCodebook(2, _LEVEL2.copy())
 
-    prev = build_codebook(level - 1)
-    core = prev.entries[1:]                  # (L/2 - 1) x K_prev
-    k_prev = prev.cols
-    rows = 2 * prev.rows
-    cols = 2 * k_prev + 1
-    m = np.zeros((rows, cols), dtype=np.int8)
-    m[0, :] = 1
-    m[1, :k_prev] = 1
-    m[1, k_prev] = 0
-    m[1, k_prev + 1:] = -1
-    m[0, k_prev] = 1                         # middle column is (+1, 0, ..., 0)^T
-    m[2:2 + core.shape[0], :k_prev] = core
-    m[2 + core.shape[0]:, k_prev + 1:] = core
+    rows, mids, leaf_rows, leaf_cols = _layout(level)
+    m = np.zeros((1 << level, level_users(level)), dtype=np.int8)
+    m[0] = 1
+    for j, row in rows.items():
+        # +1s on the left half, 0 at the middle column, -1s on the right half
+        d = np.arange(-level_users(j - 1), level_users(j - 1) + 1)
+        m[row[:, None], mids[j][:, None] + d] = -np.sign(d)
+    m[leaf_rows[:, :, None], leaf_cols.reshape(-1, 8)] = _LEVEL2[1:, None]
     return TernaryCodebook(level, m)
+
+
+@functools.cache
+def _layout(level: int) -> tuple:
+    """Where the tree nodes of a level-``level`` code sit, left to right:
+    ``build_codebook`` fills its matrix from them, and the fast decoder and
+    the min-sum ML both walk them.
+
+    Returns per split level j (the top is j = level) the chip row of each
+    node's row sL - sR and the word column of its middle user, then the
+    leaves' chip rows, (3, leaves), and word columns, eight per leaf.
+    """
+    rows = {j: [] for j in range(3, level + 1)}
+    mids = {j: [] for j in range(3, level + 1)}
+    leaves = []
+
+    def walk(j, row, col):
+        if j == 2:
+            leaves.append((row, col))
+            return
+        h = level_users(j - 1)
+        rows[j].append(row)
+        mids[j].append(col + h)
+        walk(j - 1, row + 1, col)
+        walk(j - 1, row + (1 << (j - 1)), col + h + 1)
+
+    walk(level, 1, 0)
+    row, col = np.array(leaves).T
+    return ({j: np.array(r) for j, r in rows.items()}, {j: np.array(m) for j, m in mids.items()},
+            row + np.arange(3)[:, None], (col[:, None] + np.arange(8)).ravel())
 
 
 def _as_ternary(matrix) -> np.ndarray:

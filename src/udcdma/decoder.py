@@ -1,8 +1,9 @@
 """Comparison-only recursive decoder for the ternary codebooks, plus exact ML.
 
 The fast decoder works on whole blocks of chip vectors at once, one pass per
-level of the recursion tree (``_layout``).  It reads the number of -1s in
-each word off the first chip; then each level quantizes the left/right split
+level of the recursion tree, whose node positions ``codebook._layout`` holds
+(``build_codebook`` fills the matrix from them).  It reads the number of -1s
+in each word off the first chip; then each level quantizes the left/right split
 row sL - sR of all its nodes together, which hands each half its -1 count,
 so no half pays a first quantize, and fixes each node's middle user (+1
 exactly when the halves' counts add up to the node's).  All leaves of the
@@ -65,10 +66,11 @@ from importlib.resources import files
 import numpy as np
 
 from .channel import spread_many
-from .codebook import TernaryCodebook, build_codebook, level_users
+from .codebook import TernaryCodebook, _layout, build_codebook, level_users
 
 _FLOAT_MAX = np.finfo(np.float64).max
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_TINY = float(np.finfo(np.float32).smallest_normal)      # 2^-126
 
 
 @dataclass(frozen=True)
@@ -144,35 +146,6 @@ def _block_of_one(y, rows: int) -> np.ndarray:
     if chips.shape != (rows,):
         raise ValueError(f"expected a chip vector of length {rows}, got shape {chips.shape}")
     return chips[None, :]
-
-
-@functools.cache
-def _layout(level: int) -> tuple:
-    """Where the tree nodes of a level-``level`` code sit, left to right; the
-    fast decoder and the min-sum ML both walk them.
-
-    Returns per split level j (the top is j = level) the chip row of each
-    node's row sL - sR and the word column of its middle user, then the
-    leaves' chip rows, (3, leaves), and word columns, eight per leaf.
-    """
-    rows = {j: [] for j in range(3, level + 1)}
-    mids = {j: [] for j in range(3, level + 1)}
-    leaves = []
-
-    def walk(j, row, col):
-        if j == 2:
-            leaves.append((row, col))
-            return
-        h = level_users(j - 1)
-        rows[j].append(row)
-        mids[j].append(col + h)
-        walk(j - 1, row + 1, col)
-        walk(j - 1, row + (1 << (j - 1)), col + h + 1)
-
-    walk(level, 1, 0)
-    row, col = np.array(leaves).T
-    return ({j: np.array(r) for j, r in rows.items()}, {j: np.array(m) for j, m in mids.items()},
-            row + np.arange(3)[:, None], (col[:, None] + np.arange(8)).ravel())
 
 
 def _decode_block(y: np.ndarray):
@@ -399,11 +372,6 @@ class MlDecoder:
       of the words' own float scores, and every word it returns, the tie
       rerun's too, reaches it.  g's float score is the only one below the
       others, so scoring the row would return g, with no tie.
-
-    These bounds are relative, which a rounding in the subnormal range is
-    not: it may add up to 2^-1075 more.  Where a^2 >= 2^-900 the few thousand
-    roundings of a score add far less than the 0.039 a^2 gap; below it no row
-    certifies.
     """
 
     def __init__(self, c: TernaryCodebook, amplitude: float = 1.0):
@@ -411,6 +379,11 @@ class MlDecoder:
             raise ValueError(f"ML decodes levels 2 to {ML_MAX_LEVEL}, not level {c.level}")
         if not (math.isfinite(amplitude) and amplitude > 0):
             raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
+        # below float32's least normal the cast chips lose their bits, unit
+        # chips become 0 under 7e-46; from it up a^2 >= 2^-252, so no score
+        # term is subnormal and the certificate's relative bounds hold
+        if amplitude < _FLOAT32_TINY:
+            raise ValueError(f"amplitude {amplitude} puts ML chips below the float32 normal range")
         # every score term t_r (t_r - 2 y_r) has |t_r| <= amplitude K and
         # |y_r| <= the float32 maximum, so rows such terms bound every score
         # and every partial sum of one
@@ -421,10 +394,8 @@ class MlDecoder:
         self.level, self.rows, self.users = c.level, c.rows, c.cols
         self.amplitude = amplitude
         self._code = c
-        # the certificate's squared radius and per-chip reach (class
-        # docstring); 0 certifies nothing
-        a = amplitude if amplitude * amplitude >= 2.0 ** -900 else 0.0
-        self._radius2, self._reach = 1.98 * a * a, 0.99 * a
+        # the certificate's squared radius and per-chip reach (class docstring)
+        self._radius2, self._reach = 1.98 * amplitude * amplitude, 0.99 * amplitude
         self.comparisons = 1 << c.cols
         # scores |t|^2 - 2 y.t = [-2 t, |t|^2] @ [y; 1], the norm the last term,
         # of the 256 words at level 2 and of the leaf's 128 seven-user spreads above

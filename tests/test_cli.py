@@ -472,6 +472,17 @@ def test_huge_ml_amplitude_diagnosed(capsys):
     assert err == "error: amplitude 1e+200 puts level-3 ML scores past the float range\n"
 
 
+def test_ml_amplitude_below_float32_normals_diagnosed(capsys):
+    # sigma underflows to 0, so the sweep is noiseless; ML refuses the
+    # amplitude, and the fast decoder alone still sweeps it
+    ber = ["ber", "--level", "2", "--snr", "0:1:0", "--trials", "200", "--amplitude", "1e-320"]
+    code, out, err = run_cli(capsys, *ber)
+    assert (code, out) == (1, "")
+    assert err == "error: amplitude 1e-320 puts ML chips below the float32 normal range\n"
+    code, out, _ = run_cli(capsys, *ber, "--decoders", "fda")
+    assert code == 0 and out.splitlines()[1].startswith("0,0,fda,200,0,0,")
+
+
 PINNED = Path(__file__).parent / "data" / "pinned"
 
 

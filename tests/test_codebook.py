@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from udcdma.codebook import (
     UdBoundError,
+    _layout,
     _sign_distinct_columns,
     build_codebook,
     codebook_to_json,
@@ -56,7 +57,7 @@ def test_level_users_counts_the_built_columns():
     assert [level_users(i) for i in range(2, 10)] == [build_codebook(i).cols for i in range(2, 10)]
 
 
-@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("level", range(3, 13))
 def test_block_structure(level):
     c = build_codebook(level)
     prev = build_codebook(level - 1)
@@ -75,6 +76,17 @@ def test_block_structure(level):
     assert (m[2 + h:, :k_prev] == 0).all()
     assert (m[2:2 + h, k_prev + 1:] == 0).all()
     assert (m[2 + h:, k_prev + 1:] == core).all()
+
+
+@pytest.mark.parametrize("level", range(3, 13))
+def test_layout_reads_each_chip_row_and_user_once(level):
+    # the split rows and leaf rows cover chip rows 1 .. 2^L - 1 once each, and
+    # the middle columns and leaf columns cover users 0 .. K - 1 once each
+    rows, mids, leaf_rows, leaf_cols = _layout(level)
+    chip_rows = np.concatenate([*rows.values(), leaf_rows.ravel()])
+    users = np.concatenate([*mids.values(), leaf_cols])
+    assert np.array_equal(np.sort(chip_rows), np.arange(1, 1 << level))
+    assert np.array_equal(np.sort(users), np.arange(level_users(level)))
 
 
 def test_entries_ternary_everywhere():

@@ -376,6 +376,23 @@ def test_ml_amplitude_past_the_float_range_refused(level):
         assert np.array_equal(words, ml_oracle(c, ys, ml.amplitude))
 
 
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_ml_amplitude_below_float32_normals_refused(level):
+    # ML casts chips to float32; below its least normal 2^-126 they lose
+    # their bits, and under ~7e-46 every unit chip rounds to 0
+    c = build_codebook(level)
+    floor = 2.0 ** -126
+    for amplitude in (math.nextafter(floor, 0.0), 1e-46, 1e-320):
+        with pytest.raises(ValueError, match="below the float32 normal range"):
+            MlDecoder(c, amplitude)
+    # at the floor, noiseless words come back, certified or scored
+    x = 2 * np.random.default_rng(97 + level).integers(0, 2, size=(200, c.cols)) - 1
+    ys = spread_many(c, x, floor)
+    ml = MlDecoder(c, floor)
+    assert np.array_equal(ml.decode_batch(ys), x)
+    assert np.array_equal(ml._score(ys.astype(np.float32)), x)
+
+
 def test_fda_rejects_level1_and_bad_shapes():
     with pytest.raises(ValueError):
         fda_decode(build_codebook(1), [1.0, 1.0])
@@ -751,7 +768,7 @@ def test_ml_certificate_returns_what_scoring_returns(level, monkeypatch):
     always = slice((len(_RADII) + 1) * rows, None)      # pushes 0.995 and 1.0, midpoints
     skipped = 0
     f32 = float(np.finfo(np.float32).max)
-    for amplitude in (1e-160, 1e-30, 0.7, 2.5, 0.999 * _ml_amplitude_limit(c)):
+    for amplitude in (1e-30, 0.7, 2.5, 0.999 * _ml_amplitude_limit(c)):
         ml = MlDecoder(c, amplitude)
         ys = np.clip(amplitude * base, -f32, f32)       # the largest amplitude: nothing certifies
         want = score(ml, ys.astype(np.float32))
@@ -764,7 +781,7 @@ def test_ml_certificate_returns_what_scoring_returns(level, monkeypatch):
                 got = ml.decode_batch(ys, guess)
                 assert np.array_equal(got, want), (amplitude, name)
                 skipped += len(ys) - sum(scored)
-                if name == "true" and 1e-100 < amplitude < 1e100:
+                if name == "true" and amplitude < 1e100:
                     for some, n_scored in [(near, 0), (wide, 0), (radius(1.41), rows)]:
                         scored.clear()
                         ml.decode_batch(ys[some], x[some])
@@ -772,8 +789,6 @@ def test_ml_certificate_returns_what_scoring_returns(level, monkeypatch):
                 scored.clear()
                 ml.decode_batch(ys[always], None if guess is None else guess[always])
             assert sum(scored) == len(ys[always]), (amplitude, name)
-        if amplitude < 1e-100:
-            assert skipped == 0          # a^2 below 2^-900 certifies nothing
     assert skipped > 0
 
 
